@@ -284,6 +284,29 @@ impl DataSchema {
     }
 }
 
+/// Row `r` of `data` as the JSON object [`DataSchema::dataset_from_rows`]
+/// accepts: every predictive attribute (numeric values as numbers,
+/// categorical values as level names) plus the sensitive attribute. The
+/// label is left out, as prediction input never carries it.
+pub fn row_json(data: &Dataset, r: usize) -> Value {
+    let mut fields: Vec<(String, Value)> = data
+        .columns()
+        .iter()
+        .zip(data.attr_names())
+        .map(|(col, name)| {
+            let v = match col {
+                Column::Numeric(xs) => Value::Number(xs[r]),
+                Column::Categorical { codes, levels } => {
+                    Value::String(levels[codes[r] as usize].clone())
+                }
+            };
+            (name.clone(), v)
+        })
+        .collect();
+    fields.push((data.sensitive_name().to_string(), Value::Integer(u64::from(data.sensitive()[r]))));
+    Value::Object(fields)
+}
+
 /// A saved model: provenance + schema + fitted pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelArtifact {
@@ -500,6 +523,27 @@ mod tests {
         let preds = pipeline.predict(&req);
         assert_eq!(preds.len(), 2);
         let _ = d;
+    }
+
+    #[test]
+    fn row_json_inverts_dataset_from_rows() {
+        let data = fairlens_synth::DatasetKind::German.generate(1_000, 3);
+        let schema = DataSchema::of(&data);
+        // Through the wire text too: what a client sends is `to_json`.
+        let rows: Vec<Value> =
+            (0..data.n_rows()).map(|r| parse(&row_json(&data, r).to_json()).unwrap()).collect();
+        let back = schema.dataset_from_rows(&rows).unwrap();
+        assert_eq!(back.attr_names(), data.attr_names());
+        assert_eq!(back.sensitive(), data.sensitive());
+        for (got, want) in back.columns().iter().zip(data.columns()) {
+            match (got, want) {
+                (Column::Numeric(a), Column::Numeric(b)) => {
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a), bits(b));
+                }
+                _ => assert_eq!(got, want),
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod registry;
 pub mod snapshot;
 pub mod validate;
 
-pub use artifact::{AttrSchema, AttrSchemaKind, DataSchema, ModelArtifact};
+pub use artifact::{row_json, AttrSchema, AttrSchemaKind, DataSchema, ModelArtifact};
 pub use error::CoreError;
 pub use snapshot::{
     AdjusterSnapshot, LinearParams, ModelParams, ModelSnapshot, PipelineSnapshot,

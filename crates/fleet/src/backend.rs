@@ -1,11 +1,11 @@
-//! A pooled HTTP/1.1 client for one worker incarnation.
+//! A pool of idle keep-alive connections to one worker incarnation.
 //!
-//! The router keeps one [`Backend`] per live worker; each holds a small
-//! pool of idle keep-alive connections. A transport error surfaces as
-//! `io::Error` to the caller, which treats it as "this worker cannot
-//! answer" and fails the request over to the next replica — so the
-//! parser here is deliberately strict: anything that is not a complete,
-//! well-framed response is an error, never a guess.
+//! The wire code — the client connection and its strict response
+//! parser — lives in [`fairlens_serve::http`]; this module only pools
+//! [`Client`]s. The router keeps one [`Backend`] per live worker. A
+//! transport error surfaces as `io::Error` to the caller, which treats it
+//! as "this worker cannot answer" and fails the request over to the next
+//! replica.
 //!
 //! One wrinkle matters for correctness under churn: a pooled connection
 //! may have been closed by the worker since it was parked (the server
@@ -15,33 +15,16 @@
 //! otherwise every request-cap close would masquerade as a crash and
 //! trigger a spurious failover.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// A parsed response from a worker, ready to relay to the client.
-#[derive(Debug)]
-pub struct BackendResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// `Content-Type` header (the workers always set one).
-    pub content_type: String,
-    /// `Retry-After` seconds, when the worker shed the request.
-    pub retry_after: Option<u64>,
-    /// Response body bytes.
-    pub body: Vec<u8>,
-}
-
-struct PooledConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
+use fairlens_serve::http::{Client, Response};
 
 /// One worker's address plus its idle keep-alive connection pool.
 pub struct Backend {
     addr: SocketAddr,
-    idle: Mutex<Vec<PooledConn>>,
+    idle: Mutex<Vec<Client>>,
 }
 
 impl Backend {
@@ -71,7 +54,7 @@ impl Backend {
         path: &str,
         body: &[u8],
         timeout: Duration,
-    ) -> std::io::Result<BackendResponse> {
+    ) -> std::io::Result<Response> {
         let pooled = self.idle.lock().unwrap().pop();
         let was_pooled = pooled.is_some();
         match self.attempt(pooled, method, path, body, timeout) {
@@ -83,33 +66,21 @@ impl Backend {
 
     fn attempt(
         &self,
-        conn: Option<PooledConn>,
+        conn: Option<Client>,
         method: &str,
         path: &str,
         body: &[u8],
         timeout: Duration,
-    ) -> std::io::Result<BackendResponse> {
+    ) -> std::io::Result<Response> {
         let mut conn = match conn {
-            Some(c) => c,
-            None => {
-                let stream = TcpStream::connect_timeout(&self.addr, timeout)?;
-                stream.set_nodelay(true)?;
-                let writer = stream.try_clone()?;
-                PooledConn { reader: BufReader::new(stream), writer }
+            Some(c) => {
+                c.set_timeout(timeout)?;
+                c
             }
+            None => Client::connect(self.addr, timeout)?,
         };
-        conn.reader.get_ref().set_read_timeout(Some(timeout))?;
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\n\
-             Content-Length: {}\r\n\r\n",
-            self.addr,
-            body.len(),
-        );
-        conn.writer.write_all(head.as_bytes())?;
-        conn.writer.write_all(body)?;
-        conn.writer.flush()?;
-        let (resp, close) = read_response(&mut conn.reader)?;
-        if !close {
+        let resp = conn.request(method, path, body)?;
+        if !conn.closing() {
             self.idle.lock().unwrap().push(conn);
         }
         Ok(resp)
@@ -122,67 +93,11 @@ impl Backend {
     }
 }
 
-/// Parse one response: status line, headers, `Content-Length` body.
-/// Returns the response and whether the worker asked to close.
-fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(BackendResponse, bool)> {
-    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(bad("connection closed before the status line".into()));
-    }
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad(format!("malformed status line {line:?}")))?;
-    let mut content_length = 0usize;
-    let mut content_type = String::from("application/octet-stream");
-    let mut retry_after = None;
-    let mut close = false;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Err(bad("connection closed inside the header block".into()));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        let Some((name, value)) = header.split_once(':') else { continue };
-        let value = value.trim();
-        match name.to_ascii_lowercase().as_str() {
-            "content-length" => {
-                content_length = value
-                    .parse()
-                    .map_err(|_| bad(format!("bad content-length {value:?}")))?;
-            }
-            "content-type" => content_type = value.to_string(),
-            "retry-after" => retry_after = value.parse().ok(),
-            "connection" => close = value.eq_ignore_ascii_case("close"),
-            _ => {}
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok((BackendResponse { status, content_type, retry_after, body }, close))
-}
-
 /// One-shot `GET /healthz` liveness probe on a fresh connection (never
 /// the traffic pool: a probe must measure the worker, not the pool).
 /// Healthy means a complete `200` response within `timeout`.
 pub fn probe_healthz(addr: SocketAddr, timeout: Duration) -> bool {
-    let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else {
-        return false;
-    };
-    if stream.set_read_timeout(Some(timeout)).is_err() || stream.set_nodelay(true).is_err() {
-        return false;
-    }
-    let Ok(writer) = stream.try_clone() else { return false };
-    let mut reader = BufReader::new(stream);
-    let mut writer = writer;
-    let head = format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\n\r\n");
-    if writer.write_all(head.as_bytes()).and_then(|()| writer.flush()).is_err() {
-        return false;
-    }
-    matches!(read_response(&mut reader), Ok((resp, _)) if resp.status == 200)
+    Client::connect(addr, timeout)
+        .and_then(|mut c| c.request("GET", "/healthz", b""))
+        .is_ok_and(|resp| resp.status == 200)
 }

@@ -28,25 +28,34 @@
 //!   unpausing — no request is ever answered by a mix of versions.
 
 use std::collections::{BTreeSet, HashMap};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use fairlens_json::{object, parse, Value};
 use fairlens_serve::error::{ErrorKind, ServeError};
-use fairlens_serve::http::{read_request, write_response_with, Limits, ReadOutcome, Request};
+use fairlens_serve::http::{Drain, Handler, Limits, Listener, LoopConfig, Request, Response, PROM};
 
-use crate::backend::{probe_healthz, Backend, BackendResponse};
+use crate::backend::{probe_healthz, Backend};
 use crate::metrics::FleetMetrics;
 use crate::placement;
 use crate::supervise::{Decision, Phase, SupervisorConfig, WorkerSupervisor};
 use crate::worker::WorkerProc;
 
-const JSON: &str = "application/json";
-const PROM: &str = "text/plain; version=0.0.4";
+/// Every routed path: each keeps its own metric label, and a known path
+/// with the wrong method is a 405 rather than a 404.
+const ROUTES: [&str; 8] = [
+    "/healthz",
+    "/metrics",
+    "/v1/fleet",
+    "/v1/models",
+    "/v1/predict",
+    "/v1/feedback",
+    "/v1/reload",
+    "/v1/shutdown",
+];
 
 /// Fleet configuration (CLI flags map onto this one-to-one).
 #[derive(Debug, Clone)]
@@ -127,36 +136,12 @@ struct Slot {
     spawned_at: Option<Instant>,
 }
 
-/// What the router relays to the client.
-struct Reply {
-    status: u16,
-    content_type: String,
-    retry_after: Option<u64>,
-    body: Vec<u8>,
-}
-
-impl Reply {
-    fn json(status: u16, body: String) -> Self {
-        Self { status, content_type: JSON.into(), retry_after: None, body: body.into_bytes() }
-    }
-
-    fn from_backend(resp: BackendResponse) -> Self {
-        Self {
-            status: resp.status,
-            content_type: resp.content_type,
-            retry_after: resp.retry_after,
-            body: resp.body,
-        }
-    }
-}
-
 /// Shared state for the front door's connection workers.
 struct FleetCtx {
     cfg: FleetConfig,
     metrics: Arc<FleetMetrics>,
     slots: Mutex<Vec<Slot>>,
-    shutdown: AtomicBool,
-    local_addr: SocketAddr,
+    drain: Arc<Drain>,
     /// Models paused for a blue/green cutover; predicts for them block
     /// on `pause_cv` instead of failing.
     paused: Mutex<BTreeSet<String>>,
@@ -220,7 +205,7 @@ impl Drop for PauseGuard<'_> {
 
 /// A bound, not-yet-running fleet.
 pub struct Fleet {
-    listener: TcpListener,
+    listener: Listener,
     ctx: Arc<FleetCtx>,
 }
 
@@ -248,28 +233,26 @@ impl Fleet {
                 spawned_at: Some(Instant::now()),
             });
         }
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
+        let listener = Listener::bind(&cfg.addr)?;
         let metrics = Arc::new(FleetMetrics::new());
         Ok(Self {
-            listener,
             ctx: Arc::new(FleetCtx {
                 cfg,
                 metrics,
                 slots: Mutex::new(slots),
-                shutdown: AtomicBool::new(false),
-                local_addr,
+                drain: listener.drain(),
                 paused: Mutex::new(BTreeSet::new()),
                 pause_cv: Condvar::new(),
                 inflight: Mutex::new(HashMap::new()),
                 reload_busy: AtomicBool::new(false),
             }),
+            listener,
         })
     }
 
     /// The bound front-door address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.ctx.local_addr
+        self.ctx.drain.addr()
     }
 
     /// The fleet metric registry (shared with in-process tests).
@@ -281,9 +264,9 @@ impl Fleet {
     /// drained, every worker asked to drain and reaped.
     pub fn run(self) -> std::io::Result<()> {
         let ctx = self.ctx;
-        eprintln!(
+        let announce = format!(
             "[fleet] listening on {} ({} worker(s), {} replica(s) per model)",
-            ctx.local_addr,
+            ctx.drain.addr(),
             ctx.cfg.workers.max(1),
             ctx.cfg.replicas.max(1),
         );
@@ -293,45 +276,14 @@ impl Fleet {
                 .name("fleet-supervisor".into())
                 .spawn(move || supervisor_loop(&ctx))?
         };
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut pool = Vec::with_capacity(ctx.cfg.conn_workers.max(1));
-        for i in 0..ctx.cfg.conn_workers.max(1) {
-            let rx = rx.clone();
-            let ctx = ctx.clone();
-            pool.push(
-                std::thread::Builder::new()
-                    .name(format!("fleet-conn-{i}"))
-                    .spawn(move || loop {
-                        let stream = match rx.lock().unwrap().recv() {
-                            Ok(s) => s,
-                            Err(_) => return,
-                        };
-                        handle_connection(stream, &ctx);
-                    })?,
-            );
-        }
-        loop {
-            let (stream, _) = match self.listener.accept() {
-                Ok(pair) => pair,
-                Err(e) => {
-                    if ctx.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    eprintln!("[fleet] accept error: {e}");
-                    continue;
-                }
-            };
-            if ctx.shutdown.load(Ordering::SeqCst) {
-                drop(stream);
-                break;
-            }
-            let _ = tx.send(stream);
-        }
-        drop(tx);
-        for h in pool {
-            let _ = h.join();
-        }
+        let conn = LoopConfig {
+            name: "fleet",
+            thread_prefix: "fleet-conn",
+            workers: ctx.cfg.conn_workers,
+            limits: ctx.cfg.limits,
+            max_conn_requests: 0,
+        };
+        self.listener.run(&announce, conn, ctx.clone())?;
         let _ = supervisor.join();
         drain_workers(&ctx);
         eprintln!("[fleet] drained, bye");
@@ -363,7 +315,7 @@ fn drain_workers(ctx: &FleetCtx) {
 
 /// The probe/respawn loop: one tick per `probe_interval` until shutdown.
 fn supervisor_loop(ctx: &FleetCtx) {
-    while !ctx.shutdown.load(Ordering::SeqCst) {
+    while !ctx.drain.is_draining() {
         tick(ctx);
         std::thread::sleep(ctx.cfg.probe_interval);
     }
@@ -383,7 +335,7 @@ fn tick(ctx: &FleetCtx) {
             match slot.sup.phase() {
                 Phase::Dead => {}
                 Phase::Restarting { .. } => {
-                    if slot.sup.restart_due(now) && !ctx.shutdown.load(Ordering::SeqCst) {
+                    if slot.sup.restart_due(now) && !ctx.drain.is_draining() {
                         respawn(ctx, i, slot, now);
                     }
                 }
@@ -493,83 +445,27 @@ fn announce_decision(i: usize, pid: u32, why: &str, decision: Decision) {
     }
 }
 
-/// Speak keep-alive HTTP on one front-door socket (mirrors the serve
-/// crate's connection loop).
-fn handle_connection(stream: TcpStream, ctx: &FleetCtx) {
-    if stream.set_read_timeout(Some(Duration::from_millis(250))).is_err() {
-        return;
+impl Handler for FleetCtx {
+    fn handle(&self, req: &Request) -> Response {
+        let resp = route(self, req).unwrap_or_else(|e| Response::error(&e));
+        let label = if ROUTES.contains(&req.path.as_str()) { req.path.as_str() } else { "other" };
+        self.metrics.record_request(label, resp.status);
+        resp
     }
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    loop {
-        let abandon_when_idle =
-            |started: bool| ctx.shutdown.load(Ordering::SeqCst) && !started;
-        match read_request(&mut reader, &ctx.cfg.limits, abandon_when_idle) {
-            Ok(ReadOutcome::Closed) => return,
-            Err(e) => {
-                ctx.metrics.record_request("parse-error", e.kind.status());
-                let _ = write_response_with(
-                    &mut writer,
-                    e.kind.status(),
-                    JSON,
-                    e.retry_after,
-                    e.to_json().as_bytes(),
-                    true,
-                );
-                return;
-            }
-            Ok(ReadOutcome::Complete(req)) => {
-                let reply = match route(ctx, &req) {
-                    Ok(reply) => reply,
-                    Err(e) => Reply {
-                        status: e.kind.status(),
-                        content_type: JSON.into(),
-                        retry_after: e.retry_after,
-                        body: e.to_json().into_bytes(),
-                    },
-                };
-                let close = req.close || ctx.shutdown.load(Ordering::SeqCst);
-                ctx.metrics.record_request(route_label(&req.path), reply.status);
-                if write_response_with(
-                    &mut writer,
-                    reply.status,
-                    &reply.content_type,
-                    reply.retry_after,
-                    &reply.body,
-                    close,
-                )
-                .is_err()
-                    || close
-                {
-                    return;
-                }
-            }
-        }
+
+    fn parse_error(&self, e: &ServeError) {
+        self.metrics.record_request("parse-error", e.kind.status());
     }
 }
 
-fn route_label(path: &str) -> &str {
-    match path {
-        "/healthz" | "/metrics" | "/v1/fleet" | "/v1/models" | "/v1/predict"
-        | "/v1/feedback" | "/v1/reload" | "/v1/shutdown" => path,
-        _ => "other",
-    }
-}
-
-fn route(ctx: &FleetCtx, req: &Request) -> Result<Reply, ServeError> {
+fn route(ctx: &FleetCtx, req: &Request) -> Result<Response, ServeError> {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => Ok(Reply::json(200, health_body(ctx))),
-        ("GET", "/metrics") => Ok(Reply {
-            status: 200,
-            content_type: PROM.into(),
-            retry_after: None,
-            body: ctx.metrics.render().into_bytes(),
-        }),
-        ("GET", "/v1/fleet") => Ok(Reply::json(200, fleet_body(ctx))),
+        ("GET", "/healthz") => Ok(Response::json(200, health_body(ctx))),
+        ("GET", "/metrics") => Ok(Response::new(200, PROM, ctx.metrics.render().into_bytes())),
+        ("GET", "/v1/fleet") => Ok(Response::json(200, fleet_body(ctx))),
         ("GET", "/v1/models") => proxy_any(ctx, "GET", "/v1/models"),
         ("POST", "/v1/predict") => {
-            if ctx.shutdown.load(Ordering::SeqCst) {
+            if ctx.drain.is_draining() {
                 return Err(ServeError::new(
                     ErrorKind::ShuttingDown,
                     "fleet is draining; no new predictions",
@@ -598,15 +494,13 @@ fn route(ctx: &FleetCtx, req: &Request) -> Result<Reply, ServeError> {
         }
         ("POST", "/v1/reload") => reload(ctx, req),
         ("POST", "/v1/shutdown") => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(ctx.local_addr);
-            Ok(Reply::json(
+            ctx.drain.start();
+            Ok(Response::json(
                 200,
                 object([("status", Value::String("shutting down".into()))]).to_json(),
             ))
         }
-        (_, "/healthz" | "/metrics" | "/v1/fleet" | "/v1/models" | "/v1/predict"
-        | "/v1/feedback" | "/v1/reload" | "/v1/shutdown") => Err(ServeError::new(
+        (_, path) if ROUTES.contains(&path) => Err(ServeError::new(
             ErrorKind::MethodNotAllowed,
             format!("{} does not support {}", req.path, req.method),
         )),
@@ -659,7 +553,7 @@ fn replica_order(ctx: &FleetCtx, model: &str) -> Vec<(usize, Arc<Backend>)> {
 /// Forward one request to the model's primary, failing over through the
 /// replica order on transport errors. Retries the whole order (placement
 /// can shift as the supervisor reacts) until `forward_deadline`.
-fn forward(ctx: &FleetCtx, model: &str, path: &str, body: &[u8]) -> Result<Reply, ServeError> {
+fn forward(ctx: &FleetCtx, model: &str, path: &str, body: &[u8]) -> Result<Response, ServeError> {
     let deadline = Instant::now() + ctx.cfg.forward_deadline;
     let mut failed_attempts = 0u32;
     loop {
@@ -674,7 +568,7 @@ fn forward(ctx: &FleetCtx, model: &str, path: &str, body: &[u8]) -> Result<Reply
                              after {failed_attempts} dead attempt(s)"
                         );
                     }
-                    return Ok(Reply::from_backend(resp));
+                    return Ok(resp);
                 }
                 Err(e) => {
                     failed_attempts += 1;
@@ -698,7 +592,7 @@ fn forward(ctx: &FleetCtx, model: &str, path: &str, body: &[u8]) -> Result<Reply
 
 /// Forward a read to any routable worker (they all serve the same
 /// catalogue).
-fn proxy_any(ctx: &FleetCtx, method: &str, path: &str) -> Result<Reply, ServeError> {
+fn proxy_any(ctx: &FleetCtx, method: &str, path: &str) -> Result<Response, ServeError> {
     let first = {
         let slots = ctx.slots.lock().unwrap();
         slots
@@ -711,12 +605,9 @@ fn proxy_any(ctx: &FleetCtx, method: &str, path: &str) -> Result<Reply, ServeErr
             ServeError::new(ErrorKind::Unavailable, "no routable worker").with_retry_after(1)
         );
     };
-    be.roundtrip(method, path, b"", ctx.cfg.forward_timeout)
-        .map(Reply::from_backend)
-        .map_err(|e| {
-            ServeError::new(ErrorKind::Unavailable, format!("worker failed: {e}"))
-                .with_retry_after(1)
-        })
+    be.roundtrip(method, path, b"", ctx.cfg.forward_timeout).map_err(|e| {
+        ServeError::new(ErrorKind::Unavailable, format!("worker failed: {e}")).with_retry_after(1)
+    })
 }
 
 fn worker_values(ctx: &FleetCtx) -> (Vec<Value>, bool) {
@@ -745,7 +636,7 @@ fn worker_values(ctx: &FleetCtx) -> (Vec<Value>, bool) {
 }
 
 fn health_body(ctx: &FleetCtx) -> String {
-    let draining = ctx.shutdown.load(Ordering::SeqCst);
+    let draining = ctx.drain.is_draining();
     let (workers, ready) = worker_values(ctx);
     object([
         (
@@ -766,7 +657,7 @@ fn fleet_body(ctx: &FleetCtx) -> String {
     let (workers, ready) = worker_values(ctx);
     let mut models = Vec::new();
     if let Ok(listing) = proxy_any(ctx, "GET", "/v1/models") {
-        if let Ok(v) = parse(&String::from_utf8_lossy(&listing.body)) {
+        if let Ok(v) = parse(&listing.text()) {
             let ids: Vec<String> = v
                 .get("models")
                 .cloned()
@@ -823,7 +714,7 @@ fn shadow_window(
         ServeError::new(ErrorKind::Unavailable, format!("primary stopped answering: {e}"))
             .with_retry_after(1)
     })?;
-    let v = parse(&String::from_utf8_lossy(&resp.body))
+    let v = parse(&resp.text())
         .map_err(|e| ServeError::new(ErrorKind::Internal, format!("bad models listing: {e}")))?;
     let entry = v
         .get("models")
@@ -850,7 +741,7 @@ fn shadow_window(
 /// (write-then-rename), refreshes every worker, unpauses. A divergence
 /// anywhere aborts with a structured 409 naming the first differing
 /// scores; every abort path detaches the shadow and unpauses.
-fn reload(ctx: &FleetCtx, req: &Request) -> Result<Reply, ServeError> {
+fn reload(ctx: &FleetCtx, req: &Request) -> Result<Response, ServeError> {
     let text = std::str::from_utf8(&req.body)
         .map_err(|_| ServeError::bad_request("body is not UTF-8"))?;
     let v = parse(text).map_err(|e| ServeError::bad_request(format!("invalid JSON: {e}")))?;
@@ -891,7 +782,7 @@ fn reload_inner(
     model: &str,
     artifact: &str,
     window: u64,
-) -> Result<Reply, ServeError> {
+) -> Result<Response, ServeError> {
     let order = replica_order(ctx, model);
     let Some((primary_idx, primary)) = order.first().cloned() else {
         return Err(ServeError::new(
@@ -917,7 +808,7 @@ fn reload_inner(
                 .with_retry_after(1)
         })?;
     if resp.status != 200 {
-        return Ok(Reply::from_backend(resp));
+        return Ok(resp);
     }
     let detach = || {
         let body = object([("model", Value::String(model.into()))]).to_json();
@@ -1038,7 +929,7 @@ fn reload_inner(
             Ok(resp) => failures.push(format!(
                 "worker {i}: HTTP {} {}",
                 resp.status,
-                String::from_utf8_lossy(&resp.body)
+                resp.text()
             )),
             Err(e) => failures.push(format!("worker {i}: {e}")),
         }
@@ -1054,7 +945,7 @@ fn reload_inner(
         "[fleet] reload of model {model:?} complete: {compared} clean comparison(s), \
          {refreshed} worker(s) refreshed"
     );
-    Ok(Reply::json(
+    Ok(Response::json(
         200,
         object([
             ("status", Value::String("reloaded".into())),

@@ -21,7 +21,9 @@
 //! The crate splits along testability lines: [`supervise`] is a pure
 //! clock-injected state machine (unit-testable without processes),
 //! [`placement`] is pure arithmetic, [`worker`]/[`backend`] wrap the OS
-//! edges, and [`fleet`] ties them together under the listener.
+//! edges, and [`fleet`] ties them together as a router. The wire code —
+//! the connection loop the router runs under, the response type and the
+//! client the backend pool holds — lives in `fairlens_serve::http`.
 
 pub mod backend;
 pub mod fleet;
@@ -30,7 +32,7 @@ pub mod placement;
 pub mod supervise;
 pub mod worker;
 
-pub use backend::{probe_healthz, Backend, BackendResponse};
+pub use backend::{probe_healthz, Backend};
 pub use fleet::{Fleet, FleetConfig};
 pub use metrics::FleetMetrics;
 pub use supervise::{Decision, Phase, SupervisorConfig, WorkerSupervisor};

@@ -2,7 +2,7 @@
 //!
 //! Pure and clock-injected: every transition takes `now: Instant` from
 //! the caller, so the probe loop feeds it `SystemClock::now()` while the
-//! unit tests feed a [`fairlens_monitor::ManualClock`] and walk the
+//! unit tests feed a `fairlens_monitor::ManualClock` and walk the
 //! backoff schedule deterministically. The machine never touches
 //! sockets or processes — the probe loop owns those and reports what it
 //! saw.

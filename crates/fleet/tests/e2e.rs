@@ -7,15 +7,14 @@
 //! reference server over the same artifacts — failover must be
 //! invisible at the correctness level, not just "mostly works".
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-use fairlens_core::{baseline_approach, DataSchema, ModelArtifact};
+use fairlens_core::{baseline_approach, row_json, DataSchema, ModelArtifact};
 use fairlens_fleet::{Fleet, FleetConfig, SupervisorConfig};
 use fairlens_json::{object, parse, Value};
+use fairlens_serve::http::Client;
 use fairlens_serve::{ServeConfig, Server};
 use fairlens_synth::DatasetKind;
 
@@ -126,43 +125,11 @@ fn launch_reference(dir: &Path) -> (String, std::thread::JoinHandle<std::io::Res
 /// One-shot HTTP request on a fresh connection (`Err` = transport died,
 /// which the fleet front door must never let happen).
 fn try_one_shot(addr: &str, method: &str, path: &str, body: &str) -> Result<(u16, Value), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    writer
-        .write_all(
-            format!(
-                "{method} {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\
-                 content-length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .map_err(|e| format!("write: {e}"))?;
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| format!("status line: {e}"))?;
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed status line {line:?}"))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(|e| format!("header: {e}"))?;
-        let header = header.trim_end().to_ascii_lowercase();
-        if header.is_empty() {
-            break;
-        }
-        if let Some(v) = header.strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap();
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(|e| format!("body: {e}"))?;
-    let text = String::from_utf8(body).map_err(|e| format!("utf8: {e}"))?;
-    Ok((status, parse(&text).unwrap_or(Value::String(text))))
+    let resp = Client::connect(addr, Duration::from_secs(30))
+        .and_then(|mut c| c.request(method, path, body.as_bytes()))
+        .map_err(|e| e.to_string())?;
+    let text = String::from_utf8(resp.body).map_err(|e| format!("utf8: {e}"))?;
+    Ok((resp.status, parse(&text).unwrap_or(Value::String(text))))
 }
 
 fn one_shot(addr: &str, method: &str, path: &str, body: &str) -> (u16, Value) {
@@ -171,31 +138,8 @@ fn one_shot(addr: &str, method: &str, path: &str, body: &str) -> (u16, Value) {
 
 /// Schema-shaped JSON rows from the first `n` rows of a German sample.
 fn sample_rows(n: usize, seed: u64) -> Vec<Value> {
-    use fairlens_frame::Column;
     let pool = DatasetKind::German.generate(64.max(n), seed);
-    (0..n)
-        .map(|r| {
-            let mut fields: Vec<(String, Value)> = pool
-                .columns()
-                .iter()
-                .zip(pool.attr_names())
-                .map(|(col, name)| {
-                    let v = match col {
-                        Column::Numeric(xs) => Value::Number(xs[r]),
-                        Column::Categorical { codes, levels } => {
-                            Value::String(levels[codes[r] as usize].clone())
-                        }
-                    };
-                    (name.clone(), v)
-                })
-                .collect();
-            fields.push((
-                pool.sensitive_name().to_string(),
-                Value::Integer(u64::from(pool.sensitive()[r])),
-            ));
-            Value::Object(fields)
-        })
-        .collect()
+    (0..n).map(|r| row_json(&pool, r)).collect()
 }
 
 fn predict_body(model: &str, rows: &[Value]) -> String {

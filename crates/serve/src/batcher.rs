@@ -36,9 +36,8 @@
 //! `fairlens_queue_depth` gauge on every enqueue/dequeue.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -110,8 +109,10 @@ pub struct ModelWorker {
     tx: Option<SyncSender<PredictJob>>,
     handle: Option<JoinHandle<()>>,
     /// Jobs enqueued but not yet dequeued by the executor; mirrored into
-    /// the `fairlens_queue_depth{model=...}` gauge.
-    depth: Arc<AtomicU64>,
+    /// the `fairlens_queue_depth{model=...}` gauge. The gauge is written
+    /// while this lock is held, so gauge writes follow the order of the
+    /// depth changes and the last one is the live depth.
+    depth: Arc<Mutex<u64>>,
     metrics: Arc<Metrics>,
 }
 
@@ -129,7 +130,7 @@ impl ModelWorker {
         let stochastic = pipeline.is_stochastic();
         let (tx, rx) = mpsc::sync_channel::<PredictJob>(cfg.max_queue.max(1));
         let cfg = if stochastic { BatchConfig { max_batch: 1, ..cfg } } else { cfg };
-        let depth = Arc::new(AtomicU64::new(0));
+        let depth = Arc::new(Mutex::new(0));
         let handle = {
             let depth = depth.clone();
             let metrics = metrics.clone();
@@ -168,30 +169,27 @@ impl ModelWorker {
             )
             .with_retry_after(1));
         };
-        // Count the job before it becomes visible in the channel — the
-        // executor may dequeue (and decrement) the instant `try_send`
-        // lands, so incrementing afterwards would underflow the counter.
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        // Hold the depth lock across `try_send`: the executor may dequeue
+        // the instant the job lands, and its decrement (and gauge write)
+        // must wait for this increment, or the gauge ends on a stale
+        // value.
+        let mut depth = self.depth.lock().expect("queue depth lock poisoned");
         match tx.try_send(job) {
             Ok(()) => {
-                self.metrics.set_queue_depth(&self.model_id, depth);
+                *depth += 1;
+                self.metrics.set_queue_depth(&self.model_id, *depth);
                 Ok(())
             }
-            Err(rejected) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                match rejected {
-                    TrySendError::Full(_) => Err(ServeError::new(
-                        ErrorKind::Overloaded,
-                        format!("model {:?} queue is full; retry shortly", self.model_id),
-                    )
-                    .with_retry_after(1)),
-                    TrySendError::Disconnected(_) => Err(ServeError::new(
-                        ErrorKind::Unavailable,
-                        format!("model {:?} executor died; it will be restarted", self.model_id),
-                    )
-                    .with_retry_after(1)),
-                }
-            }
+            Err(TrySendError::Full(_)) => Err(ServeError::new(
+                ErrorKind::Overloaded,
+                format!("model {:?} queue is full; retry shortly", self.model_id),
+            )
+            .with_retry_after(1)),
+            Err(TrySendError::Disconnected(_)) => Err(ServeError::new(
+                ErrorKind::Unavailable,
+                format!("model {:?} executor died; it will be restarted", self.model_id),
+            )
+            .with_retry_after(1)),
         }
     }
 
@@ -243,12 +241,13 @@ fn executor_loop(
     rx: &Receiver<PredictJob>,
     cfg: BatchConfig,
     metrics: &Metrics,
-    depth: &AtomicU64,
+    depth: &Mutex<u64>,
     faults: &ServeFaults,
 ) {
     let dequeued = |n: u64| {
-        let d = depth.fetch_sub(n, Ordering::Relaxed).saturating_sub(n);
-        metrics.set_queue_depth(model_id, d);
+        let mut d = depth.lock().expect("queue depth lock poisoned");
+        *d = d.saturating_sub(n);
+        metrics.set_queue_depth(model_id, *d);
     };
     loop {
         // Block for the first job; channel closure is the stop signal.

@@ -1,13 +1,9 @@
 //! The prediction server: listener, worker pool, routing, drain.
 //!
-//! Concurrency model: one blocking accept loop hands sockets to a fixed
-//! pool of connection workers over an mpsc channel (the receiver behind a
-//! mutex, the textbook `std` work queue); each worker speaks keep-alive
-//! HTTP/1.1 on its socket and blocks on the per-model executor for
-//! predictions. Sockets carry a 250 ms read timeout so idle keep-alive
-//! connections notice the shutdown flag promptly; a total read deadline
-//! layered on that tick turns slow-loris requests into 408s (see
-//! [`crate::http`]).
+//! Concurrency model: the connection loop of [`crate::http`] (accept
+//! thread, fixed pool of `--workers` connection workers, keep-alive,
+//! read deadline, drain) calls this module's router, which blocks on the
+//! per-model executor for predictions.
 //!
 //! Overload protection happens in three layers, cheapest first:
 //!
@@ -28,18 +24,17 @@
 //! the executor from its artifact on the next admitted request.
 //!
 //! Graceful shutdown (`POST /v1/shutdown` — `std` has no signal API, so
-//! the drain trigger is a route): set the flag, self-connect to wake the
-//! blocking accept, stop accepting, drop the queue sender so workers
-//! drain already-accepted connections, join the pool, unload the registry
-//! (joining every model executor), return `Ok(())`. In-flight requests
-//! complete and are answered; idle keep-alive connections close; new
-//! predict requests on draining connections get a structured 503.
+//! the drain trigger is a route): start the listener's [`Drain`], let the
+//! connection loop finish already-accepted connections, unload the
+//! registry (joining every model executor), return `Ok(())`. In-flight
+//! requests complete and are answered; idle keep-alive connections
+//! close; new predict requests on draining connections get a structured
+//! 503.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use fairlens_budget::Budget;
@@ -50,15 +45,26 @@ use crate::batcher::{BatchConfig, ModelWorker, PredictJob, PredictOutput};
 use crate::breaker::BreakerConfig;
 use crate::error::{ErrorKind, ServeError};
 use crate::faults::ServeFaults;
-use crate::http::{read_request, write_response_with, Limits, ReadOutcome, Request};
+use crate::http::{Drain, Handler, Limits, Listener, LoopConfig, Request, Response, PROM};
 use crate::metrics::Metrics;
 use crate::monitors::MonitorHub;
 use crate::recorder::Recorder;
 use crate::registry::{ModelInfo, ModelOutcome, Registry, ShadowSummary};
 use fairlens_monitor::{DriftConfig, MonitorConfig, MonitorSnapshot, SystemClock};
 
-const JSON: &str = "application/json";
-const PROM: &str = "text/plain; version=0.0.4";
+/// Every routed path: each keeps its own metric label, and a known path
+/// with the wrong method is a 405 rather than a 404.
+const ROUTES: [&str; 9] = [
+    "/healthz",
+    "/metrics",
+    "/v1/models",
+    "/v1/predict",
+    "/v1/feedback",
+    "/v1/promote",
+    "/v1/shadow",
+    "/v1/refresh",
+    "/v1/shutdown",
+];
 
 /// Server configuration (CLI flags map onto this one-to-one).
 #[derive(Debug, Clone)]
@@ -164,14 +170,11 @@ impl Default for ServeConfig {
 struct Ctx {
     registry: Registry,
     metrics: Arc<Metrics>,
-    shutdown: AtomicBool,
+    drain: Arc<Drain>,
     deadline: Duration,
-    limits: Limits,
-    local_addr: SocketAddr,
     /// Concurrently processed predict requests, against `max_inflight`.
     inflight: AtomicU64,
     max_inflight: u64,
-    max_conn_requests: usize,
     /// Present when the server was configured with a trace path.
     trace: Option<fairlens_trace::TraceSink>,
     /// Request counter naming the per-request tracks (`req/000042`).
@@ -213,9 +216,9 @@ impl Drop for InflightSlot<'_> {
 
 /// A bound, not-yet-running server.
 pub struct Server {
-    listener: TcpListener,
+    listener: Listener,
     ctx: Arc<Ctx>,
-    workers: usize,
+    conn: LoopConfig,
     trace_path: Option<PathBuf>,
 }
 
@@ -273,34 +276,36 @@ impl Server {
             metrics.clone(),
             Arc::new(SystemClock),
         );
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
+        let listener = Listener::bind(&cfg.addr)?;
         Ok(Self {
-            listener,
             ctx: Arc::new(Ctx {
                 registry,
                 metrics,
-                shutdown: AtomicBool::new(false),
+                drain: listener.drain(),
                 deadline: cfg.deadline,
-                limits: cfg.limits,
-                local_addr,
                 inflight: AtomicU64::new(0),
                 max_inflight: cfg.max_inflight as u64,
-                max_conn_requests: cfg.max_conn_requests,
                 trace: cfg.trace.as_ref().map(|_| fairlens_trace::TraceSink::new()),
                 req_seq: AtomicU64::new(0),
                 recorder,
                 monitors,
                 worker_id: cfg.worker_id,
             }),
-            workers: cfg.workers.max(1),
+            listener,
+            conn: LoopConfig {
+                name: "serve",
+                thread_prefix: "serve",
+                workers: cfg.workers,
+                limits: cfg.limits,
+                max_conn_requests: cfg.max_conn_requests,
+            },
             trace_path: cfg.trace,
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.ctx.local_addr
+        self.ctx.drain.addr()
     }
 
     /// The metric registry (shared with in-process tests).
@@ -311,54 +316,13 @@ impl Server {
     /// Serve until drained. Returns once a shutdown request has been
     /// honoured: no accepting socket, no worker, no model executor left.
     pub fn run(self) -> std::io::Result<()> {
-        eprintln!(
+        let announce = format!(
             "[serve] listening on {} ({} model(s), {} quarantined)",
-            self.ctx.local_addr,
+            self.local_addr(),
             self.ctx.registry.len(),
             self.ctx.registry.quarantined().len(),
         );
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut pool = Vec::with_capacity(self.workers);
-        for i in 0..self.workers {
-            let rx = rx.clone();
-            let ctx = self.ctx.clone();
-            pool.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-{i}"))
-                    .spawn(move || loop {
-                        // The temporary guard drops before handling, so
-                        // only the dequeue is serialized.
-                        let stream = match rx.lock().unwrap().recv() {
-                            Ok(s) => s,
-                            Err(_) => return,
-                        };
-                        handle_connection(stream, &ctx);
-                    })?,
-            );
-        }
-        loop {
-            let (stream, _) = match self.listener.accept() {
-                Ok(pair) => pair,
-                Err(e) => {
-                    if self.ctx.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    eprintln!("[serve] accept error: {e}");
-                    continue;
-                }
-            };
-            if self.ctx.shutdown.load(Ordering::SeqCst) {
-                // The self-connect wake (or a late client); stop accepting.
-                drop(stream);
-                break;
-            }
-            let _ = tx.send(stream);
-        }
-        drop(tx); // workers drain accepted connections, then exit
-        for h in pool {
-            let _ = h.join();
-        }
+        self.listener.run(&announce, self.conn, self.ctx.clone())?;
         self.ctx.registry.shutdown(); // joins every model executor
         if let (Some(path), Some(sink)) = (&self.trace_path, &self.ctx.trace) {
             let collapsed = path.with_extension("collapsed");
@@ -375,107 +339,47 @@ impl Server {
     }
 }
 
-/// Speak keep-alive HTTP on one socket until close, error, or drain.
-fn handle_connection(stream: TcpStream, ctx: &Ctx) {
-    // The read timeout is the shutdown-poll tick for idle keep-alives and
-    // the resolution of the per-request read deadline.
-    if stream.set_read_timeout(Some(Duration::from_millis(250))).is_err() {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut served: usize = 0;
-    loop {
-        let abandon_when_idle =
-            |started: bool| ctx.shutdown.load(Ordering::SeqCst) && !started;
-        match read_request(&mut reader, &ctx.limits, abandon_when_idle) {
-            Ok(ReadOutcome::Closed) => return,
-            Err(e) => {
-                // Framing errors poison the stream: answer, then close.
-                ctx.metrics.record_error(e.kind.name());
-                ctx.metrics.record_request("parse-error", e.kind.status(), 0.0);
-                let _ = write_response_with(
-                    &mut writer,
-                    e.kind.status(),
-                    JSON,
-                    e.retry_after,
-                    e.to_json().as_bytes(),
-                    true,
+impl Handler for Ctx {
+    fn handle(&self, req: &Request) -> Response {
+        let t0 = Instant::now();
+        let resp = route(self, req).unwrap_or_else(|e| {
+            self.metrics.record_error(e.kind.name());
+            Response::error(&e)
+        });
+        // Known paths keep their own metric label; the rest share one so
+        // a path-scanning client cannot explode series cardinality.
+        let label = if ROUTES.contains(&req.path.as_str()) { req.path.as_str() } else { "other" };
+        self.metrics.record_request(label, resp.status, t0.elapsed().as_secs_f64());
+        if let Some(rec) = &self.recorder {
+            // Feedback exchanges are part of the recorded truth:
+            // replaying them is what reproduces window state.
+            if req.path == "/v1/predict" || req.path == "/v1/feedback" {
+                rec.record(
+                    &req.method,
+                    &req.path,
+                    &req.body,
+                    resp.status,
+                    &resp.text(),
+                    t0.elapsed().as_micros() as u64,
                 );
-                return;
-            }
-            Ok(ReadOutcome::Complete(req)) => {
-                served += 1;
-                let t0 = Instant::now();
-                let (status, content_type, body, retry_after) = match route(ctx, &req) {
-                    Ok((status, content_type, body)) => (status, content_type, body, None),
-                    Err(e) => {
-                        ctx.metrics.record_error(e.kind.name());
-                        (e.kind.status(), JSON, e.to_json(), e.retry_after)
-                    }
-                };
-                // Draining connections close after the in-flight answer,
-                // as do connections that hit the per-connection request
-                // cap (the client reconnects; one pipelining socket
-                // cannot pin a worker forever).
-                let close = req.close
-                    || ctx.shutdown.load(Ordering::SeqCst)
-                    || (ctx.max_conn_requests > 0 && served >= ctx.max_conn_requests);
-                ctx.metrics.record_request(
-                    route_label(&req.path),
-                    status,
-                    t0.elapsed().as_secs_f64(),
-                );
-                if let Some(rec) = &ctx.recorder {
-                    // Feedback exchanges are part of the recorded truth:
-                    // replaying them is what reproduces window state.
-                    if req.path == "/v1/predict" || req.path == "/v1/feedback" {
-                        rec.record(
-                            &req.method,
-                            &req.path,
-                            &req.body,
-                            status,
-                            &body,
-                            t0.elapsed().as_micros() as u64,
-                        );
-                    }
-                }
-                if write_response_with(
-                    &mut writer,
-                    status,
-                    content_type,
-                    retry_after,
-                    body.as_bytes(),
-                    close,
-                )
-                .is_err()
-                    || close
-                {
-                    return;
-                }
             }
         }
+        resp
+    }
+
+    fn parse_error(&self, e: &ServeError) {
+        self.metrics.record_error(e.kind.name());
+        self.metrics.record_request("parse-error", e.kind.status(), 0.0);
     }
 }
 
-/// Known paths keep their own metric label; the rest share one so a
-/// path-scanning client cannot explode series cardinality.
-fn route_label(path: &str) -> &str {
-    match path {
-        "/healthz" | "/metrics" | "/v1/models" | "/v1/predict" | "/v1/feedback"
-        | "/v1/promote" | "/v1/shadow" | "/v1/refresh" | "/v1/shutdown" => path,
-        _ => "other",
-    }
-}
-
-fn route(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeError> {
+fn route(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             // Detail beyond "ok" is for the fleet supervisor: the pid
             // confirms the probe reached the process it spawned, and
             // draining tells the router to stop placing new traffic here.
-            let draining = ctx.shutdown.load(Ordering::SeqCst);
+            let draining = ctx.drain.is_draining();
             let mut fields = vec![
                 (
                     "status",
@@ -488,12 +392,12 @@ fn route(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeE
             if let Some(w) = ctx.worker_id {
                 fields.push(("worker", Value::Integer(w)));
             }
-            Ok((200, JSON, object(fields).to_json()))
+            Ok(Response::json(200, object(fields).to_json()))
         }
-        ("GET", "/metrics") => Ok((200, PROM, ctx.metrics.render())),
-        ("GET", "/v1/models") => Ok((200, JSON, models_body(ctx))),
+        ("GET", "/metrics") => Ok(Response::new(200, PROM, ctx.metrics.render().into_bytes())),
+        ("GET", "/v1/models") => Ok(Response::json(200, models_body(ctx))),
         ("POST", "/v1/predict") => {
-            if ctx.shutdown.load(Ordering::SeqCst) {
+            if ctx.drain.is_draining() {
                 // Retry-After 1: the client should land on a healthy
                 // replica (or the restarted server) almost immediately.
                 return Err(ServeError::new(
@@ -509,18 +413,16 @@ fn route(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeE
         ("POST", "/v1/shadow") => shadow_ctl(ctx, req),
         ("POST", "/v1/refresh") => refresh(ctx, req),
         ("POST", "/v1/shutdown") => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
-            // Wake the blocking accept so the drain starts immediately.
-            let _ = TcpStream::connect(ctx.local_addr);
-            Ok((200, JSON, object([("status", Value::String("shutting down".into()))]).to_json()))
-        }
-        (_, "/healthz" | "/metrics" | "/v1/models" | "/v1/predict" | "/v1/feedback"
-        | "/v1/promote" | "/v1/shadow" | "/v1/refresh" | "/v1/shutdown") => {
-            Err(ServeError::new(
-                ErrorKind::MethodNotAllowed,
-                format!("{} does not support {}", req.path, req.method),
+            ctx.drain.start();
+            Ok(Response::json(
+                200,
+                object([("status", Value::String("shutting down".into()))]).to_json(),
             ))
         }
+        (_, path) if ROUTES.contains(&path) => Err(ServeError::new(
+            ErrorKind::MethodNotAllowed,
+            format!("{} does not support {}", req.path, req.method),
+        )),
         _ => Err(ServeError::new(ErrorKind::NotFound, format!("no route {}", req.path))),
     }
 }
@@ -688,7 +590,7 @@ fn models_body(ctx: &Ctx) -> String {
 
 /// `POST /v1/predict`: `{"model": id, "rows": [...]}` (batch) or
 /// `{"model": id, "row": {...}}` (single).
-fn predict(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeError> {
+fn predict(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     // One trace track per predict request; the guard flushes at return
     // (error paths included), so failed requests still leave their
     // `parse` span behind.
@@ -817,7 +719,7 @@ fn predict(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), Serv
             ("scores", Value::from_f64s(out.scores.iter().copied())),
         ])
     };
-    Ok((200, JSON, body.to_json()))
+    Ok(Response::json(200, body.to_json()))
 }
 
 /// Score the request on the shadow candidate and record the comparison
@@ -849,7 +751,7 @@ fn shadow_compare(
 /// them onto its window. Unknown models and unknown/expired seqs are
 /// 404s, a second report for the same seq is a 409, and a label count
 /// that disagrees with the original request's row count is a 400.
-fn feedback(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeError> {
+fn feedback(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     // Feedback gets its own request track: a drift transition this
     // report triggers emits its trace event from this thread, and
     // without a collector the event would be dropped on the floor.
@@ -898,9 +800,8 @@ fn feedback(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), Ser
         return Err(ServeError::bad_request("\"labels\" is empty"));
     }
     let receipt = ctx.monitors.feedback(model_id, seq, &labels)?;
-    Ok((
+    Ok(Response::json(
         200,
-        JSON,
         object([
             ("status", Value::String("ok".into())),
             ("model", Value::String(model_id.into())),
@@ -916,7 +817,7 @@ fn feedback(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), Ser
 /// candidate over the incumbent artifact, provided the comparison window
 /// is non-empty and divergence-free (else a structured 409 naming the
 /// first differing request and score bits).
-fn promote(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeError> {
+fn promote(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     let text = std::str::from_utf8(&req.body)
         .map_err(|_| ServeError::bad_request("body is not UTF-8"))?;
     let v = parse(text).map_err(|e| ServeError::bad_request(format!("invalid JSON: {e}")))?;
@@ -925,9 +826,8 @@ fn promote(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), Serv
         .and_then(Value::as_str)
         .ok_or_else(|| ServeError::bad_request("missing string field \"model\""))?;
     let compared = ctx.registry.promote(model_id)?;
-    Ok((
+    Ok(Response::json(
         200,
-        JSON,
         object([
             ("status", Value::String("promoted".into())),
             ("model", Value::String(model_id.into())),
@@ -943,7 +843,7 @@ fn promote(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), Serv
 /// one); `{"model": id}` detaches whatever is attached without
 /// promoting — the reload abort path. Detaching with nothing attached is
 /// an idempotent no-op so an abort can always run it.
-fn shadow_ctl(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeError> {
+fn shadow_ctl(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     let text = std::str::from_utf8(&req.body)
         .map_err(|_| ServeError::bad_request("body is not UTF-8"))?;
     let v = parse(text).map_err(|e| ServeError::bad_request(format!("invalid JSON: {e}")))?;
@@ -962,9 +862,8 @@ fn shadow_ctl(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), S
                 }
             })?;
             eprintln!("[serve] shadowing model {model_id:?} with candidate {}", path.display());
-            Ok((
+            Ok(Response::json(
                 200,
-                JSON,
                 object([
                     ("status", Value::String("shadowing".into())),
                     ("model", Value::String(model_id.into())),
@@ -979,9 +878,8 @@ fn shadow_ctl(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), S
             if detached {
                 eprintln!("[serve] detached shadow candidate from model {model_id:?}");
             }
-            Ok((
+            Ok(Response::json(
                 200,
-                JSON,
                 object([
                     ("status", Value::String("detached".into())),
                     ("model", Value::String(model_id.into())),
@@ -999,7 +897,7 @@ fn shadow_ctl(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), S
 /// id's quarantine entry. This is the fleet's blue/green cutover hook:
 /// the fleet swaps the artifact file, then refreshes every replica so no
 /// worker keeps answering from the old version.
-fn refresh(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), ServeError> {
+fn refresh(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     let text = std::str::from_utf8(&req.body)
         .map_err(|_| ServeError::bad_request("body is not UTF-8"))?;
     let v = parse(text).map_err(|e| ServeError::bad_request(format!("invalid JSON: {e}")))?;
@@ -1008,9 +906,8 @@ fn refresh(ctx: &Ctx, req: &Request) -> Result<(u16, &'static str, String), Serv
         .and_then(Value::as_str)
         .ok_or_else(|| ServeError::bad_request("missing string field \"model\""))?;
     ctx.registry.refresh(model_id)?;
-    Ok((
+    Ok(Response::json(
         200,
-        JSON,
         object([
             ("status", Value::String("refreshed".into())),
             ("model", Value::String(model_id.into())),

@@ -1,7 +1,6 @@
 //! End-to-end tests: a real server on an ephemeral port, a real client
 //! over TCP, and byte-identical agreement with offline prediction.
 
-use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -9,10 +8,10 @@ use std::time::Duration;
 use std::sync::Arc;
 
 use fairlens_core::{
-    all_approaches, baseline_approach, DataSchema, FittedPipeline, ModelArtifact,
+    all_approaches, baseline_approach, row_json, DataSchema, FittedPipeline, ModelArtifact,
 };
 use fairlens_json::{object, parse, Value};
-use fairlens_serve::{ServeConfig, ServeFaults, Server};
+use fairlens_serve::{http, ServeConfig, ServeFaults, Server};
 use fairlens_synth::DatasetKind;
 
 // ---------------------------------------------------------------------------
@@ -64,74 +63,38 @@ fn launch(dir: &Path, tweak: impl FnOnce(&mut ServeConfig)) -> (String, std::thr
     (addr, handle)
 }
 
-/// Minimal keep-alive client.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
+/// Keep-alive client: the serve crate's own, with test-shaped results.
+struct Client(http::Client);
 
 impl Client {
     fn open(addr: &str) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        Self { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
+        Self(http::Client::connect(addr, Duration::from_secs(30)).unwrap())
     }
 
     fn send_raw(&mut self, raw: &str) {
-        self.writer.write_all(raw.as_bytes()).unwrap();
-        self.writer.flush().unwrap();
+        self.0.send_raw(raw.as_bytes()).unwrap();
     }
 
     fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, Value) {
-        self.send_raw(&format!(
-            "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        ));
-        self.read_response()
-    }
-
-    fn request_meta(&mut self, method: &str, path: &str, body: &str) -> (u16, Value, RespMeta) {
-        self.send_raw(&format!(
-            "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        ));
-        let (status, body, meta) = self.read_response_full();
-        (status, parse_body(body), meta)
-    }
-
-    fn read_response(&mut self) -> (u16, Value) {
-        let (status, body, _) = self.read_response_full();
-        (status, parse_body(body))
-    }
-
-    fn read_response_text(&mut self) -> (u16, String) {
-        let (status, body, _) = self.read_response_full();
+        let (status, body, _) = self.request_meta(method, path, body);
         (status, body)
     }
 
-    fn read_response_full(&mut self) -> (u16, String, RespMeta) {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).unwrap();
-        let status: u16 = line.split_whitespace().nth(1).unwrap().parse().unwrap();
-        let mut content_length = 0usize;
-        let mut meta = RespMeta { retry_after: None, close: false };
-        loop {
-            let mut header = String::new();
-            self.reader.read_line(&mut header).unwrap();
-            let header = header.trim_end().to_ascii_lowercase();
-            if header.is_empty() {
-                break;
-            }
-            if let Some(v) = header.strip_prefix("content-length:") {
-                content_length = v.trim().parse().unwrap();
-            } else if let Some(v) = header.strip_prefix("retry-after:") {
-                meta.retry_after = v.trim().parse().ok();
-            } else if header == "connection: close" {
-                meta.close = true;
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body).unwrap();
-        (status, String::from_utf8(body).unwrap(), meta)
+    fn request_meta(&mut self, method: &str, path: &str, body: &str) -> (u16, Value, RespMeta) {
+        self.0.send(method, path, body.as_bytes()).unwrap();
+        let (status, body, meta) = self.recv_full();
+        (status, parse_body(body), meta)
+    }
+
+    fn recv(&mut self) -> (u16, Value) {
+        let (status, body, _) = self.recv_full();
+        (status, parse_body(body))
+    }
+
+    fn recv_full(&mut self) -> (u16, String, RespMeta) {
+        let resp = self.0.recv().unwrap();
+        let meta = RespMeta { retry_after: resp.retry_after, close: self.0.closing() };
+        (resp.status, String::from_utf8(resp.body).unwrap(), meta)
     }
 }
 
@@ -159,31 +122,8 @@ fn one_shot(addr: &str, method: &str, path: &str, body: &str) -> (u16, Value) {
 
 /// Schema-shaped JSON rows from the first `n` rows of a German sample.
 fn sample_rows(n: usize, seed: u64) -> Vec<Value> {
-    use fairlens_frame::Column;
     let pool = DatasetKind::German.generate(64.max(n), seed);
-    (0..n)
-        .map(|r| {
-            let mut fields: Vec<(String, Value)> = pool
-                .columns()
-                .iter()
-                .zip(pool.attr_names())
-                .map(|(col, name)| {
-                    let v = match col {
-                        Column::Numeric(xs) => Value::Number(xs[r]),
-                        Column::Categorical { codes, levels } => {
-                            Value::String(levels[codes[r] as usize].clone())
-                        }
-                    };
-                    (name.clone(), v)
-                })
-                .collect();
-            fields.push((
-                pool.sensitive_name().to_string(),
-                Value::Integer(u64::from(pool.sensitive()[r])),
-            ));
-            Value::Object(fields)
-        })
-        .collect()
+    (0..n).map(|r| row_json(&pool, r)).collect()
 }
 
 fn predict_body(model: &str, rows: &[Value]) -> String {
@@ -369,7 +309,7 @@ fn errors_are_structured_and_never_close_the_connection() {
     // connection: framing errors do close).
     let mut big = Client::open(&addr);
     big.send_raw("POST /v1/predict HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n");
-    let (status, v) = big.read_response();
+    let (status, v) = big.recv();
     assert_eq!(status, 413);
     assert_eq!(kind_of(&v).as_deref(), Some("payload_too_large"));
 
@@ -588,7 +528,7 @@ fn slow_loris_requests_are_cut_off_with_408() {
     loris.send_raw("POST /v1/predict HTTP/1.1\r\ncontent-le");
     let t0 = std::time::Instant::now();
     let (status, v, meta) = {
-        let (status, body, meta) = loris.read_response_full();
+        let (status, body, meta) = loris.recv_full();
         (status, parse_body(body), meta)
     };
     assert_eq!(status, 408, "{v:?}");

@@ -19,6 +19,34 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     smoke_out="$(mktemp -d)"
     trap 'rm -rf "$smoke_out"' EXIT
 
+    # boot LOG PREFIX FAILMSG CMD...: run CMD in the background with its
+    # stderr in LOG and poll LOG (up to 30 s) for "[PREFIX] listening on
+    # ADDR". Sets $boot_pid and $addr; on timeout, kills CMD and fails
+    # with FAILMSG.
+    boot() {
+        local log="$1" prefix="$2" fail="$3"
+        shift 3
+        "$@" 2> "$log" &
+        boot_pid=$!
+        addr=""
+        for _ in $(seq 1 300); do
+            addr="$(sed -n "s/^\[$prefix\] listening on \([0-9.:]*\).*\$/\1/p" "$log")"
+            [[ -n "$addr" ]] && break
+            sleep 0.1
+        done
+        if [[ -z "$addr" ]]; then
+            echo "$fail" >&2
+            kill "$boot_pid" 2>/dev/null || true
+            exit 1
+        fi
+    }
+    # drain ADDR PID FAILMSG: POST /v1/shutdown to ADDR, then PID must
+    # exit 0, else fail with FAILMSG.
+    drain() {
+        curl -s -X POST "http://$1/v1/shutdown" >/dev/null
+        wait "$2" || { echo "$3" >&2; exit 1; }
+    }
+
     echo "==> bench smoke (quick-scale linalg kernels vs committed BENCH_linalg.json)"
     # Re-measures the quick-scale kernel sweep and fails if any kernel's
     # fast-path median regressed >20 % vs the committed baseline. Shared
@@ -123,20 +151,9 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
         --approaches 'LR,Feld^DP(1.0),Hardt^EO' >/dev/null 2>&1
     serve_log="$smoke_out/serve.log"
     serve_trace="$smoke_out/serve.trace.jsonl"
-    cargo run --release -p fairlens-serve -- \
-        --addr 127.0.0.1:0 --models "$models_dir" --trace "$serve_trace" 2> "$serve_log" &
-    serve_pid=$!
-    addr=""
-    for _ in $(seq 1 300); do
-        addr="$(sed -n 's/^\[serve\] listening on \([0-9.:]*\).*$/\1/p' "$serve_log")"
-        [[ -n "$addr" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$addr" ]]; then
-        echo "serve smoke FAILED: server never announced its address" >&2
-        kill "$serve_pid" 2>/dev/null || true
-        exit 1
-    fi
+    boot "$serve_log" serve "serve smoke FAILED: server never announced its address" \
+        cargo run --release -p fairlens-serve -- \
+        --addr 127.0.0.1:0 --models "$models_dir" --trace "$serve_trace"
     cargo run --release -p fairlens-serve --example loadgen -- \
         --addr "$addr" --requests 1000 --conns 4 2> "$smoke_out/loadgen.log" \
         || { echo "serve smoke FAILED:" >&2; cat "$smoke_out/loadgen.log" >&2; exit 1; }
@@ -144,11 +161,7 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     grep -q 'fairlens_requests_total{route="/v1/predict",status="200"} 1000' \
         "$smoke_out/metrics.txt" \
         || { echo "serve smoke FAILED: predict counter did not reach 1000" >&2; exit 1; }
-    curl -s -X POST "http://$addr/v1/shutdown" >/dev/null
-    if ! wait "$serve_pid"; then
-        echo "serve smoke FAILED: server exited non-zero" >&2
-        exit 1
-    fi
+    drain "$addr" "$boot_pid" "serve smoke FAILED: server exited non-zero"
     grep -q '\[serve\] drained, bye' "$serve_log" \
         || { echo "serve smoke FAILED: no drain marker in the log" >&2; exit 1; }
     # loadgen must report a latency distribution with a positive p99.
@@ -169,23 +182,12 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     # it once the fault budgets are spent. Reuses the models exported by
     # the serving smoke above.
     chaos_log="$smoke_out/chaos-serve.log"
-    FAIRLENS_FAULT='panic:german-lr:1;hang:german-lr:2' \
-    cargo run --release -p fairlens-serve -- \
+    boot "$chaos_log" serve "chaos smoke FAILED: server never announced its address" \
+        env FAIRLENS_FAULT='panic:german-lr:1;hang:german-lr:2' \
+        cargo run --release -p fairlens-serve -- \
         --addr 127.0.0.1:0 --models "$models_dir" \
         --workers 8 --max-queue 2 --max-inflight 4 --deadline-ms 800 \
-        --breaker-threshold 2 --breaker-cooldown-ms 300 2> "$chaos_log" &
-    chaos_pid=$!
-    addr=""
-    for _ in $(seq 1 300); do
-        addr="$(sed -n 's/^\[serve\] listening on \([0-9.:]*\).*$/\1/p' "$chaos_log")"
-        [[ -n "$addr" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$addr" ]]; then
-        echo "chaos smoke FAILED: server never announced its address" >&2
-        kill "$chaos_pid" 2>/dev/null || true
-        exit 1
-    fi
+        --breaker-threshold 2 --breaker-cooldown-ms 300
     # Phase 1 — overload: pipelined bursts far past the admission limits
     # while the faults fire. Every request must get a well-formed answer
     # (200 or a shed); loadgen exits non-zero on anything else.
@@ -214,11 +216,7 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
         || { echo "chaos smoke FAILED: the breaker did not re-close" >&2; exit 1; }
     grep -q 'fairlens_queue_depth{model="german-lr"} 0' "$smoke_out/chaos-metrics.txt" \
         || { echo "chaos smoke FAILED: the queue did not drain" >&2; exit 1; }
-    curl -s -X POST "http://$addr/v1/shutdown" >/dev/null
-    if ! wait "$chaos_pid"; then
-        echo "chaos smoke FAILED: server exited non-zero" >&2
-        exit 1
-    fi
+    drain "$addr" "$boot_pid" "chaos smoke FAILED: server exited non-zero"
     grep -q '\[serve\] drained, bye' "$chaos_log" \
         || { echo "chaos smoke FAILED: no drain marker in the log" >&2; exit 1; }
     sheds="$(sed -n 's/^fairlens_shed_total{reason="queue_full"} //p' "$smoke_out/chaos-metrics.txt")"
@@ -253,22 +251,11 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     cp "$models_dir/german-lr.flm" "$smoke_out/candidate.flm"
     recording="$smoke_out/predict.rec.jsonl"
     shadow_log="$smoke_out/shadow-serve.log"
-    cargo run --release -p fairlens-serve -- \
+    boot "$shadow_log" serve "shadow smoke FAILED: server never announced its address" \
+        cargo run --release -p fairlens-serve -- \
         --addr 127.0.0.1:0 --models "$models_dir" \
         --shadow german-lr="$smoke_out/candidate.flm" \
-        --record "$recording" 2> "$shadow_log" &
-    shadow_pid=$!
-    addr=""
-    for _ in $(seq 1 300); do
-        addr="$(sed -n 's/^\[serve\] listening on \([0-9.:]*\).*$/\1/p' "$shadow_log")"
-        [[ -n "$addr" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$addr" ]]; then
-        echo "shadow smoke FAILED: server never announced its address" >&2
-        kill "$shadow_pid" 2>/dev/null || true
-        exit 1
-    fi
+        --record "$recording"
     cargo run --release -p fairlens-serve --example loadgen -- \
         --addr "$addr" --model german-lr --requests 200 --conns 2 \
         2> "$smoke_out/shadow-loadgen.log" \
@@ -289,25 +276,12 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
         cat "$smoke_out/promote.json" >&2
         exit 1
     fi
-    curl -s -X POST "http://$addr/v1/shutdown" >/dev/null
-    wait "$shadow_pid" \
-        || { echo "shadow smoke FAILED: shadow server exited non-zero" >&2; exit 1; }
+    drain "$addr" "$boot_pid" "shadow smoke FAILED: shadow server exited non-zero"
     # Replay the recording against a fresh boot of the promoted models.
     replay_log="$smoke_out/replay-serve.log"
-    cargo run --release -p fairlens-serve -- \
-        --addr 127.0.0.1:0 --models "$models_dir" 2> "$replay_log" &
-    replay_pid=$!
-    addr=""
-    for _ in $(seq 1 300); do
-        addr="$(sed -n 's/^\[serve\] listening on \([0-9.:]*\).*$/\1/p' "$replay_log")"
-        [[ -n "$addr" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$addr" ]]; then
-        echo "shadow smoke FAILED: replay server never announced its address" >&2
-        kill "$replay_pid" 2>/dev/null || true
-        exit 1
-    fi
+    boot "$replay_log" serve "shadow smoke FAILED: replay server never announced its address" \
+        cargo run --release -p fairlens-serve -- \
+        --addr 127.0.0.1:0 --models "$models_dir"
     cargo run --release -p fairlens-serve --example loadgen -- \
         --addr "$addr" --replay "$recording" --shutdown \
         2> "$smoke_out/replay.log" \
@@ -315,27 +289,16 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
              cat "$smoke_out/replay.log" >&2; exit 1; }
     grep -q 'REPLAY PASS' "$smoke_out/replay.log" \
         || { echo "shadow smoke FAILED: no REPLAY PASS marker" >&2; exit 1; }
-    wait "$replay_pid" \
+    wait "$boot_pid" \
         || { echo "shadow smoke FAILED: replay server exited non-zero" >&2; exit 1; }
     # A bit-flipped candidate must dirty the window and block promotion.
     cargo run --release -p fairlens-bench --bin flm_flip -- \
         "$models_dir/german-lr.flm" "$smoke_out/flipped.flm" 2>/dev/null
     dirty_log="$smoke_out/dirty-serve.log"
-    cargo run --release -p fairlens-serve -- \
+    boot "$dirty_log" serve "shadow smoke FAILED: dirty server never announced its address" \
+        cargo run --release -p fairlens-serve -- \
         --addr 127.0.0.1:0 --models "$models_dir" \
-        --shadow german-lr="$smoke_out/flipped.flm" 2> "$dirty_log" &
-    dirty_pid=$!
-    addr=""
-    for _ in $(seq 1 300); do
-        addr="$(sed -n 's/^\[serve\] listening on \([0-9.:]*\).*$/\1/p' "$dirty_log")"
-        [[ -n "$addr" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$addr" ]]; then
-        echo "shadow smoke FAILED: dirty server never announced its address" >&2
-        kill "$dirty_pid" 2>/dev/null || true
-        exit 1
-    fi
+        --shadow german-lr="$smoke_out/flipped.flm"
     cargo run --release -p fairlens-serve --example loadgen -- \
         --addr "$addr" --model german-lr --requests 50 --conns 2 \
         2> "$smoke_out/dirty-loadgen.log" \
@@ -354,9 +317,7 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
         cat "$smoke_out/promote-409.json" >&2
         exit 1
     fi
-    curl -s -X POST "http://$addr/v1/shutdown" >/dev/null
-    wait "$dirty_pid" \
-        || { echo "shadow smoke FAILED: dirty server exited non-zero" >&2; exit 1; }
+    drain "$addr" "$boot_pid" "shadow smoke FAILED: dirty server exited non-zero"
     echo "    ok: clean window promoted, recording replayed bit-exactly, flipped candidate refused with 409"
 
     echo "==> monitor smoke (live metrics vs offline recomputation, label-skew drift, replay reproduction)"
@@ -368,22 +329,11 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     mon_rec="$smoke_out/monitor.rec.jsonl"
     mon_log="$smoke_out/monitor-serve.log"
     mon_trace="$smoke_out/monitor.trace.jsonl"
-    cargo run --release -p fairlens-serve -- \
+    boot "$mon_log" serve "monitor smoke FAILED: server never announced its address" \
+        cargo run --release -p fairlens-serve -- \
         --addr 127.0.0.1:0 --models "$models_dir" \
         --monitor-window 64 --drift-threshold accuracy=0.25 \
-        --record "$mon_rec" --trace "$mon_trace" 2> "$mon_log" &
-    mon_pid=$!
-    addr=""
-    for _ in $(seq 1 300); do
-        addr="$(sed -n 's/^\[serve\] listening on \([0-9.:]*\).*$/\1/p' "$mon_log")"
-        [[ -n "$addr" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$addr" ]]; then
-        echo "monitor smoke FAILED: server never announced its address" >&2
-        kill "$mon_pid" 2>/dev/null || true
-        exit 1
-    fi
+        --record "$mon_rec" --trace "$mon_trace"
     cargo run --release -p fairlens-serve --example loadgen -- \
         --addr "$addr" --model german-lr --requests 200 --conns 1 --feedback 0.7 \
         2> "$smoke_out/monitor-loadgen.log" \
@@ -418,9 +368,7 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
         || { echo "monitor smoke FAILED: /v1/models does not show alerting" >&2; exit 1; }
     grep -q '"metric": *"accuracy"' "$smoke_out/monitor-models-skew.json" \
         || { echo "monitor smoke FAILED: offending metric not named" >&2; exit 1; }
-    curl -s -X POST "http://$addr/v1/shutdown" >/dev/null
-    wait "$mon_pid" \
-        || { echo "monitor smoke FAILED: server exited non-zero" >&2; exit 1; }
+    drain "$addr" "$boot_pid" "monitor smoke FAILED: server exited non-zero"
     grep -q '\[serve\] drift for model "german-lr": warning -> alerting' "$mon_log" \
         || { echo "monitor smoke FAILED: no drift transition in the log" >&2; exit 1; }
     grep -q 'drift:alerting' "$mon_trace" \
@@ -431,21 +379,10 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     # the same offline recomputation, so the final live metrics are
     # bit-identical to the original server's.
     mon2_log="$smoke_out/monitor-replay-serve.log"
-    cargo run --release -p fairlens-serve -- \
+    boot "$mon2_log" serve "monitor smoke FAILED: replay server never announced its address" \
+        cargo run --release -p fairlens-serve -- \
         --addr 127.0.0.1:0 --models "$models_dir" \
-        --monitor-window 64 --drift-threshold accuracy=0.25 2> "$mon2_log" &
-    mon2_pid=$!
-    addr=""
-    for _ in $(seq 1 300); do
-        addr="$(sed -n 's/^\[serve\] listening on \([0-9.:]*\).*$/\1/p' "$mon2_log")"
-        [[ -n "$addr" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$addr" ]]; then
-        echo "monitor smoke FAILED: replay server never announced its address" >&2
-        kill "$mon2_pid" 2>/dev/null || true
-        exit 1
-    fi
+        --monitor-window 64 --drift-threshold accuracy=0.25
     cargo run --release -p fairlens-serve --example loadgen -- \
         --addr "$addr" --replay "$mon_rec" 2> "$smoke_out/monitor-replay.log" \
         || { echo "monitor smoke FAILED (replay):" >&2
@@ -459,9 +396,7 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
         2> "$smoke_out/monitor-check-replay.log" \
         || { echo "monitor smoke FAILED (replayed window diverged):" >&2
              cat "$smoke_out/monitor-check-replay.log" >&2; exit 1; }
-    curl -s -X POST "http://$addr/v1/shutdown" >/dev/null
-    wait "$mon2_pid" \
-        || { echo "monitor smoke FAILED: replay server exited non-zero" >&2; exit 1; }
+    drain "$addr" "$boot_pid" "monitor smoke FAILED: replay server exited non-zero"
     fb_ok="$(sed -n 's/^fairlens_feedback_total{model="german-lr",status="ok"} //p' "$smoke_out/monitor-skew-metrics.txt")"
     echo "    ok: live metrics bit-match offline recomputation, skewed labels drove drift to alerting (${fb_ok:-0} reports), replay reproduced the window"
 
@@ -478,55 +413,30 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     # Reference recording: a plain single server over the same models.
     fleet_rec="$smoke_out/fleet.rec.jsonl"
     fleet_ref_log="$smoke_out/fleet-ref-serve.log"
-    cargo run --release -p fairlens-serve -- \
-        --addr 127.0.0.1:0 --models "$models_dir" --record "$fleet_rec" \
-        2> "$fleet_ref_log" &
-    fleet_ref_pid=$!
-    addr=""
-    for _ in $(seq 1 300); do
-        addr="$(sed -n 's/^\[serve\] listening on \([0-9.:]*\).*$/\1/p' "$fleet_ref_log")"
-        [[ -n "$addr" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$addr" ]]; then
-        echo "fleet smoke FAILED: reference server never announced" >&2
-        kill "$fleet_ref_pid" 2>/dev/null || true
-        exit 1
-    fi
+    boot "$fleet_ref_log" serve "fleet smoke FAILED: reference server never announced" \
+        cargo run --release -p fairlens-serve -- \
+        --addr 127.0.0.1:0 --models "$models_dir" --record "$fleet_rec"
     cargo run --release -p fairlens-serve --example loadgen -- \
         --addr "$addr" --model german-lr --requests 250 --conns 2 \
         2> "$smoke_out/fleet-ref-loadgen.log" \
         || { echo "fleet smoke FAILED (reference loadgen):" >&2
              cat "$smoke_out/fleet-ref-loadgen.log" >&2; exit 1; }
-    curl -s -X POST "http://$addr/v1/shutdown" >/dev/null
-    wait "$fleet_ref_pid" \
-        || { echo "fleet smoke FAILED: reference server exited non-zero" >&2; exit 1; }
+    drain "$addr" "$boot_pid" "fleet smoke FAILED: reference server exited non-zero"
     # Boot the fleet: fast supervision knobs, an abort fault on every
     # worker's first incarnation (respawns come back clean by design).
     fleet_log="$smoke_out/fleet.log"
-    ./target/release/fairlens-fleet \
+    boot "$fleet_log" fleet "fleet smoke FAILED: fleet never announced its address" \
+        ./target/release/fairlens-fleet \
         --addr 127.0.0.1:0 --models "$models_dir" --workers 3 --replicas 2 \
         --probe-interval-ms 100 --backoff-base-ms 200 --backoff-cap-ms 1000 \
         --fail-threshold 2 --ok-threshold 2 \
         --worker-fault 0:abort:german-lr:20 \
         --worker-fault 1:abort:german-lr:20 \
-        --worker-fault 2:abort:german-lr:20 2> "$fleet_log" &
-    fleet_pid=$!
-    faddr=""
-    for _ in $(seq 1 300); do
-        faddr="$(sed -n 's/^\[fleet\] listening on \([0-9.:]*\).*$/\1/p' "$fleet_log")"
-        [[ -n "$faddr" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$faddr" ]]; then
-        echo "fleet smoke FAILED: fleet never announced its address" >&2
-        kill "$fleet_pid" 2>/dev/null || true
-        exit 1
-    fi
+        --worker-fault 2:abort:german-lr:20
     # Wait until every worker is routable before aiming the storm.
     ready=""
     for _ in $(seq 1 300); do
-        if curl -s "http://$faddr/healthz" | grep -q '"ready": *true'; then
+        if curl -s "http://$addr/healthz" | grep -q '"ready": *true'; then
             ready=1; break
         fi
         sleep 0.1
@@ -537,7 +447,7 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     # request. Every answer must be well-formed (200 or an honest shed);
     # loadgen exits non-zero on anything else.
     cargo run --release -p fairlens-serve --example loadgen -- \
-        --addr "$faddr" --model german-lr --requests 400 --conns 8 \
+        --addr "$addr" --model german-lr --requests 400 --conns 8 \
         --open-loop --burst 32 --allow-shed 2> "$smoke_out/fleet-storm.log" \
         || { echo "fleet smoke FAILED (storm phase):" >&2
              cat "$smoke_out/fleet-storm.log" >&2; exit 1; }
@@ -545,7 +455,7 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     # is back to full strength within the backoff bound.
     respawned=""
     for _ in $(seq 1 200); do
-        if curl -s "http://$faddr/metrics" \
+        if curl -s "http://$addr/metrics" \
             | grep -E 'fairlens_worker_restarts_total\{worker="[0-9]+"\} [1-9]' >/dev/null; then
             respawned=1; break
         fi
@@ -553,10 +463,10 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     done
     [[ -n "$respawned" ]] \
         || { echo "fleet smoke FAILED: no worker respawn recorded after the abort" >&2
-             curl -s "http://$faddr/metrics" >&2; exit 1; }
+             curl -s "http://$addr/metrics" >&2; exit 1; }
     ready=""
     for _ in $(seq 1 300); do
-        if curl -s "http://$faddr/healthz" | grep -q '"ready": *true'; then
+        if curl -s "http://$addr/healthz" | grep -q '"ready": *true'; then
             ready=1; break
         fi
         sleep 0.1
@@ -567,7 +477,7 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     # identically through the post-failover fleet (replay compares score
     # bits, so this is exact, not approximate).
     cargo run --release -p fairlens-serve --example loadgen -- \
-        --addr "$faddr" --replay "$fleet_rec" 2> "$smoke_out/fleet-replay.log" \
+        --addr "$addr" --replay "$fleet_rec" 2> "$smoke_out/fleet-replay.log" \
         || { echo "fleet smoke FAILED (replay):" >&2
              cat "$smoke_out/fleet-replay.log" >&2; exit 1; }
     grep -q 'REPLAY PASS' "$smoke_out/fleet-replay.log" \
@@ -578,12 +488,12 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     # model; the loadgen exits non-zero on any non-200.
     cp "$models_dir/german-lr.flm" "$smoke_out/fleet-candidate.flm"
     cargo run --release -p fairlens-serve --example loadgen -- \
-        --addr "$faddr" --model german-lr --requests 1500 --conns 2 \
+        --addr "$addr" --model german-lr --requests 1500 --conns 2 \
         2> "$smoke_out/fleet-reload-loadgen.log" &
     fleet_lg_pid=$!
     sleep 0.5
     reload_code="$(curl -s -o "$smoke_out/fleet-reload.json" -w '%{http_code}' \
-        -X POST "http://$faddr/v1/reload" \
+        -X POST "http://$addr/v1/reload" \
         -d "{\"model\": \"german-lr\", \"artifact\": \"$smoke_out/fleet-candidate.flm\", \"window\": 16}")"
     if [[ "$reload_code" != "200" ]] \
         || ! grep -q '"status": *"reloaded"' "$smoke_out/fleet-reload.json"; then
@@ -595,15 +505,11 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     wait "$fleet_lg_pid" \
         || { echo "fleet smoke FAILED: a request failed during the blue/green reload:" >&2
              cat "$smoke_out/fleet-reload-loadgen.log" >&2; exit 1; }
-    curl -s "http://$faddr/metrics" > "$smoke_out/fleet-metrics.txt"
+    curl -s "http://$addr/metrics" > "$smoke_out/fleet-metrics.txt"
     grep -q 'fairlens_fleet_reloads_total{outcome="ok"} 1' "$smoke_out/fleet-metrics.txt" \
         || { echo "fleet smoke FAILED: reload outcome not counted" >&2; exit 1; }
     # Drain: the fleet asks every worker to drain, then exits clean.
-    curl -s -X POST "http://$faddr/v1/shutdown" >/dev/null
-    if ! wait "$fleet_pid"; then
-        echo "fleet smoke FAILED: fleet exited non-zero" >&2
-        exit 1
-    fi
+    drain "$addr" "$boot_pid" "fleet smoke FAILED: fleet exited non-zero"
     grep -q '\[fleet\] drained, bye' "$fleet_log" \
         || { echo "fleet smoke FAILED: no drain marker in the fleet log" >&2; exit 1; }
     restarts="$(sed -n 's/^fairlens_worker_restarts_total{worker="[0-9]*"} //p' "$smoke_out/fleet-metrics.txt" | awk '{s+=$1} END {print s+0}')"
