@@ -126,17 +126,12 @@ pub struct FaultSpec {
 impl FaultSpec {
     /// Parse a `;`-separated fault list.
     pub fn parse_list(s: &str) -> Result<Vec<FaultSpec>, String> {
-        s.split(';')
-            .map(str::trim)
-            .filter(|p| !p.is_empty())
-            .map(Self::parse_one)
-            .collect()
+        fairlens_budget::parse_faults(s, Self::parse_one)
     }
 
-    fn parse_one(s: &str) -> Result<FaultSpec, String> {
-        let parts: Vec<&str> = s.split(':').collect();
+    fn parse_one(s: &str, parts: &[&str]) -> Result<FaultSpec, String> {
         let fold = |f: &str| f.parse::<usize>().map_err(|_| format!("bad fold in fault {s:?}"));
-        match parts.as_slice() {
+        match parts {
             ["panic", approach, f] => {
                 Ok(FaultSpec { kind: FaultKind::Panic, approach: (*approach).into(), fold: fold(f)? })
             }
@@ -161,12 +156,7 @@ impl FaultSpec {
     /// specs abort the process — this is a test/CI configuration error,
     /// detected before any cell runs.
     pub fn from_env() -> Vec<FaultSpec> {
-        match std::env::var("FAIRLENS_FAULT") {
-            Ok(v) if !v.trim().is_empty() => {
-                Self::parse_list(&v).unwrap_or_else(|e| panic!("FAIRLENS_FAULT: {e}"))
-            }
-            _ => Vec::new(),
-        }
+        fairlens_budget::faults_from_env(Self::parse_one)
     }
 }
 

@@ -122,6 +122,31 @@ pub fn checkpoint() {
     }
 }
 
+/// Parse a fault-injection spec list: the one `FAIRLENS_FAULT` grammar
+/// shared by the benchmark runner and the server. Specs are
+/// `;`-separated and blank ones are skipped; `parse_one` receives each
+/// trimmed spec with its `:`-separated fields and owns the fault kinds
+/// and their field order.
+pub fn parse_faults<T>(
+    list: &str,
+    mut parse_one: impl FnMut(&str, &[&str]) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    list.split(';')
+        .map(str::trim)
+        .filter(|spec| !spec.is_empty())
+        .map(|spec| parse_one(spec, &spec.split(':').collect::<Vec<_>>()))
+        .collect()
+}
+
+/// Faults from the `FAIRLENS_FAULT` environment variable, parsed by
+/// [`parse_faults`]; none when it is unset or blank. A malformed spec
+/// panics: a fault-injection run's configuration error must surface
+/// before any work starts.
+pub fn faults_from_env<T>(parse_one: impl FnMut(&str, &[&str]) -> Result<T, String>) -> Vec<T> {
+    let list = std::env::var("FAIRLENS_FAULT").unwrap_or_default();
+    parse_faults(&list, parse_one).unwrap_or_else(|e| panic!("FAIRLENS_FAULT: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +196,17 @@ mod tests {
         });
         assert!(b.wait_cancelled(Duration::from_millis(1), Duration::from_secs(5)));
         h.join().unwrap();
+    }
+
+    #[test]
+    fn fault_lists_split_on_semicolons_then_colons() {
+        let fields = |spec: &str, f: &[&str]| match f {
+            [_, _] => Ok(f.join("|")),
+            _ => Err(format!("bad {spec:?}")),
+        };
+        assert_eq!(parse_faults(" a:b ;; c:d;", fields).unwrap(), ["a|b", "c|d"]);
+        assert!(parse_faults(" ; ", fields).unwrap().is_empty());
+        assert_eq!(parse_faults("a:b;c", fields).unwrap_err(), "bad \"c\"");
     }
 
     #[test]

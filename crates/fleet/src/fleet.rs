@@ -189,7 +189,7 @@ impl<'a> PauseGuard<'a> {
     fn pause(ctx: &'a FleetCtx, model: &str) -> Self {
         let mut paused = ctx.paused.lock().unwrap();
         paused.insert(model.to_string());
-        ctx.metrics.set_paused(paused.len() as u64);
+        ctx.metrics.paused.set(&(), paused.len() as u64);
         Self { ctx, model: model.to_string() }
     }
 }
@@ -198,7 +198,7 @@ impl Drop for PauseGuard<'_> {
     fn drop(&mut self) {
         let mut paused = self.ctx.paused.lock().unwrap();
         paused.remove(&self.model);
-        self.ctx.metrics.set_paused(paused.len() as u64);
+        self.ctx.metrics.paused.set(&(), paused.len() as u64);
         self.ctx.pause_cv.notify_all();
     }
 }
@@ -422,7 +422,7 @@ fn respawn(ctx: &FleetCtx, i: usize, slot: &mut Slot, now: Instant) {
             slot.backend = None;
             slot.spawned_at = Some(now);
             slot.sup.on_spawned();
-            ctx.metrics.record_restart(i);
+            ctx.metrics.worker_restarts.inc(&i);
         }
         Err(e) => {
             eprintln!("[fleet] worker {i} respawn failed: {e}");
@@ -449,12 +449,12 @@ impl Handler for FleetCtx {
     fn handle(&self, req: &Request) -> Response {
         let resp = route(self, req).unwrap_or_else(|e| Response::error(&e));
         let label = if ROUTES.contains(&req.path.as_str()) { req.path.as_str() } else { "other" };
-        self.metrics.record_request(label, resp.status);
+        self.metrics.requests.inc(&(label.to_string(), resp.status));
         resp
     }
 
     fn parse_error(&self, e: &ServeError) {
-        self.metrics.record_request("parse-error", e.kind.status());
+        self.metrics.requests.inc(&("parse-error".to_string(), e.kind.status()));
     }
 }
 
@@ -562,7 +562,7 @@ fn forward(ctx: &FleetCtx, model: &str, path: &str, body: &[u8]) -> Result<Respo
             match be.roundtrip("POST", path, body, ctx.cfg.forward_timeout) {
                 Ok(resp) => {
                     if failed_attempts > 0 {
-                        ctx.metrics.record_failover(model);
+                        ctx.metrics.failovers.inc(model);
                         eprintln!(
                             "[fleet] {path} for model {model:?} failed over to worker {idx} \
                              after {failed_attempts} dead attempt(s)"
@@ -572,7 +572,7 @@ fn forward(ctx: &FleetCtx, model: &str, path: &str, body: &[u8]) -> Result<Respo
                 }
                 Err(e) => {
                     failed_attempts += 1;
-                    ctx.metrics.record_forward_retry();
+                    ctx.metrics.forward_retries.inc(&());
                     eprintln!("[fleet] worker {idx} failed a {path} forward for {model:?}: {e}");
                     // Parked connections to this worker are suspect too.
                     be.clear_pool();
@@ -769,7 +769,7 @@ fn reload(ctx: &FleetCtx, req: &Request) -> Result<Response, ServeError> {
     }
     let result = reload_inner(ctx, &model, &artifact, window);
     ctx.reload_busy.store(false, Ordering::SeqCst);
-    ctx.metrics.record_reload(match &result {
+    ctx.metrics.reloads.inc(&match &result {
         Ok(_) => "ok",
         Err(e) if e.kind == ErrorKind::Conflict => "rejected",
         Err(_) => "failed",

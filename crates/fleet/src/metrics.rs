@@ -1,140 +1,47 @@
-//! Prometheus text-format metrics for the fleet front door.
-//!
-//! Same conventions as the serve crate's registry: mutexed `BTreeMap`s
-//! keyed by label tuple (request handling is socket-bound; one short
-//! lock per request is noise), deterministic render order, `# HELP` /
-//! `# TYPE` preambles. The families here describe the *fleet* — worker
-//! lifecycle, failover, reload — while each worker keeps exposing its
-//! own `/metrics` for per-model detail.
+//! Prometheus text-format metrics for the fleet front door, built on the
+//! serve crate's one exposition writer (`fairlens_serve::metrics`). The
+//! families here describe the *fleet* — worker lifecycle, failover,
+//! reload — while each worker keeps its own `/metrics` for per-model
+//! detail.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use fairlens_serve::metric_registry;
+use fairlens_serve::metrics::Family;
 
-/// The fleet's metric registry.
-#[derive(Default)]
-pub struct FleetMetrics {
-    /// `(route, status)` → front-door responses.
-    requests: Mutex<BTreeMap<(String, u16), u64>>,
-    /// worker → respawns performed by the supervisor.
-    restarts: Mutex<BTreeMap<usize, u64>>,
-    /// worker → (routable now, pid).
-    workers: Mutex<BTreeMap<usize, (bool, u32)>>,
-    /// model → requests answered by a non-first replica after a
-    /// transport failure on an earlier one.
-    failovers: Mutex<BTreeMap<String, u64>>,
-    /// Individual forward attempts that failed at the transport level.
-    forward_retries: AtomicU64,
-    /// reload outcome (`ok`/`rejected`/`failed`) → count.
-    reloads: Mutex<BTreeMap<&'static str, u64>>,
-    /// Models currently paused for a blue/green cutover.
-    paused: AtomicU64,
+const WORKER: &[&str] = &["worker"];
+
+metric_registry! {
+    /// The fleet's metric registry: 8 families. Callers update a family
+    /// directly, except the worker pair, which `set_worker` keeps in step.
+    pub struct FleetMetrics {
+        pub requests: Family<(String, u16)> = Family::counter("fairlens_fleet_requests_total",
+            &["route", "status"], "Front-door responses by route and status."),
+        worker_up: Family<usize> = Family::gauge("fairlens_worker_up", WORKER,
+            "Whether the worker shard is routable (announced and probing healthy)."),
+        worker_pid: Family<usize> = Family::gauge("fairlens_worker_pid", WORKER,
+            "The worker shard's OS process id."),
+        pub worker_restarts: Family<usize> = Family::counter("fairlens_worker_restarts_total",
+            WORKER, "Supervisor respawns of the worker shard."),
+        pub failovers: Family<String> = Family::counter("fairlens_fleet_failovers_total",
+            &["model"], "Requests answered by a fallback replica after a transport failure."),
+        pub forward_retries: Family<()> = Family::counter("fairlens_fleet_forward_retries_total",
+            &[], "Forward attempts that failed at the transport level."),
+        pub reloads: Family<&'static str> = Family::counter("fairlens_fleet_reloads_total",
+            &["outcome"], "Blue/green reload attempts by outcome."),
+        pub paused: Family<()> = Family::gauge("fairlens_fleet_paused_models", &[],
+            "Models currently paused for a blue/green cutover."),
+    }
 }
 
 impl FleetMetrics {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Count one front-door response.
-    pub fn record_request(&self, route: &str, status: u16) {
-        *self.requests.lock().unwrap().entry((route.to_string(), status)).or_insert(0) += 1;
-    }
-
-    /// Count one supervisor respawn of `worker`.
-    pub fn record_restart(&self, worker: usize) {
-        *self.restarts.lock().unwrap().entry(worker).or_insert(0) += 1;
-    }
-
     /// Respawns of `worker` so far.
     pub fn restarts(&self, worker: usize) -> u64 {
-        self.restarts.lock().unwrap().get(&worker).copied().unwrap_or(0)
+        self.worker_restarts.series().get(&worker).copied().unwrap_or(0)
     }
 
     /// Publish `worker`'s routability and pid.
     pub fn set_worker(&self, worker: usize, up: bool, pid: u32) {
-        self.workers.lock().unwrap().insert(worker, (up, pid));
-    }
-
-    /// Count one request that succeeded on a fallback replica.
-    pub fn record_failover(&self, model: &str) {
-        *self.failovers.lock().unwrap().entry(model.to_string()).or_insert(0) += 1;
-    }
-
-    /// Count one failed forward attempt (transport-level).
-    pub fn record_forward_retry(&self) {
-        self.forward_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one `/v1/reload` outcome.
-    pub fn record_reload(&self, outcome: &'static str) {
-        *self.reloads.lock().unwrap().entry(outcome).or_insert(0) += 1;
-    }
-
-    /// Publish how many models are paused for cutover right now.
-    pub fn set_paused(&self, n: u64) {
-        self.paused.store(n, Ordering::Relaxed);
-    }
-
-    /// Render the Prometheus exposition.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-
-        let _ = writeln!(out, "# HELP fairlens_fleet_requests_total Front-door responses by route and status.");
-        let _ = writeln!(out, "# TYPE fairlens_fleet_requests_total counter");
-        for ((route, status), n) in self.requests.lock().unwrap().iter() {
-            let _ = writeln!(
-                out,
-                "fairlens_fleet_requests_total{{route=\"{route}\",status=\"{status}\"}} {n}"
-            );
-        }
-
-        let _ = writeln!(out, "# HELP fairlens_worker_up Whether the worker shard is routable (announced and probing healthy).");
-        let _ = writeln!(out, "# TYPE fairlens_worker_up gauge");
-        let workers = self.workers.lock().unwrap();
-        for (w, (up, _)) in workers.iter() {
-            let _ = writeln!(out, "fairlens_worker_up{{worker=\"{w}\"}} {}", u8::from(*up));
-        }
-        let _ = writeln!(out, "# HELP fairlens_worker_pid The worker shard's OS process id.");
-        let _ = writeln!(out, "# TYPE fairlens_worker_pid gauge");
-        for (w, (_, pid)) in workers.iter() {
-            let _ = writeln!(out, "fairlens_worker_pid{{worker=\"{w}\"}} {pid}");
-        }
-        drop(workers);
-
-        let _ = writeln!(out, "# HELP fairlens_worker_restarts_total Supervisor respawns of the worker shard.");
-        let _ = writeln!(out, "# TYPE fairlens_worker_restarts_total counter");
-        for (w, n) in self.restarts.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_worker_restarts_total{{worker=\"{w}\"}} {n}");
-        }
-
-        let _ = writeln!(out, "# HELP fairlens_fleet_failovers_total Requests answered by a fallback replica after a transport failure.");
-        let _ = writeln!(out, "# TYPE fairlens_fleet_failovers_total counter");
-        for (model, n) in self.failovers.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_fleet_failovers_total{{model=\"{model}\"}} {n}");
-        }
-
-        let _ = writeln!(out, "# HELP fairlens_fleet_forward_retries_total Forward attempts that failed at the transport level.");
-        let _ = writeln!(out, "# TYPE fairlens_fleet_forward_retries_total counter");
-        let _ = writeln!(
-            out,
-            "fairlens_fleet_forward_retries_total {}",
-            self.forward_retries.load(Ordering::Relaxed)
-        );
-
-        let _ = writeln!(out, "# HELP fairlens_fleet_reloads_total Blue/green reload attempts by outcome.");
-        let _ = writeln!(out, "# TYPE fairlens_fleet_reloads_total counter");
-        for (outcome, n) in self.reloads.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_fleet_reloads_total{{outcome=\"{outcome}\"}} {n}");
-        }
-
-        let _ = writeln!(out, "# HELP fairlens_fleet_paused_models Models currently paused for a blue/green cutover.");
-        let _ = writeln!(out, "# TYPE fairlens_fleet_paused_models gauge");
-        let _ = writeln!(out, "fairlens_fleet_paused_models {}", self.paused.load(Ordering::Relaxed));
-
-        out
+        self.worker_up.set(&worker, u64::from(up));
+        self.worker_pid.set(&worker, u64::from(pid));
     }
 }
 
@@ -145,15 +52,15 @@ mod tests {
     #[test]
     fn renders_all_families_deterministically() {
         let m = FleetMetrics::new();
-        m.record_request("/v1/predict", 200);
-        m.record_request("/v1/predict", 200);
-        m.record_restart(1);
+        m.requests.inc(&("/v1/predict".to_string(), 200));
+        m.requests.inc(&("/v1/predict".to_string(), 200));
+        m.worker_restarts.inc(&1);
         m.set_worker(0, true, 100);
         m.set_worker(1, false, 101);
-        m.record_failover("german-lr");
-        m.record_forward_retry();
-        m.record_reload("ok");
-        m.set_paused(1);
+        m.failovers.inc("german-lr");
+        m.forward_retries.inc(&());
+        m.reloads.inc(&"ok");
+        m.paused.set(&(), 1);
         let text = m.render();
         for needle in [
             "fairlens_fleet_requests_total{route=\"/v1/predict\",status=\"200\"} 2",
@@ -169,5 +76,56 @@ mod tests {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
         assert_eq!(text, m.render(), "render order is deterministic");
+    }
+
+    /// A fixed event sequence touching all 8 families; worker ids 2 and
+    /// 10 pin numeric (not lexicographic) series order.
+    #[test]
+    fn exposition_bytes_are_pinned() {
+        let m = FleetMetrics::new();
+        m.requests.inc(&("/v1/predict".to_string(), 200));
+        m.requests.inc(&("/v1/predict".to_string(), 200));
+        m.requests.inc(&("/v1/reload".to_string(), 409));
+        m.worker_restarts.inc(&10);
+        m.worker_restarts.inc(&2);
+        m.worker_restarts.inc(&2);
+        m.set_worker(10, false, 1010);
+        m.set_worker(2, true, 1002);
+        m.failovers.inc("german-lr");
+        m.forward_retries.inc(&());
+        m.forward_retries.inc(&());
+        m.reloads.inc(&"ok");
+        m.reloads.inc(&"rejected");
+        m.paused.set(&(), 1);
+        assert_eq!(m.restarts(2), 2);
+        assert_eq!(m.restarts(3), 0);
+        let text = m.render();
+        assert_eq!(text, include_str!("testdata/metrics.prom"));
+        assert_preambles(&text, 8);
+    }
+
+    #[test]
+    fn client_supplied_model_cannot_forge_lines() {
+        let m = FleetMetrics::new();
+        m.failovers.inc("x\"} 1\nfairlens_worker_up{worker=\"0\"} 1\n#");
+        let text = m.render();
+        assert!(text.contains(
+            "fairlens_fleet_failovers_total{model=\"x\\\"} 1\\nfairlens_worker_up{worker=\\\"0\\\"} 1\\n#\"} 1\n"
+        ), "{text}");
+        assert_preambles(&text, 8);
+    }
+
+    /// Every family has one `# HELP`, then one `# TYPE`, before its samples.
+    fn assert_preambles(text: &str, families: usize) {
+        assert!(text.starts_with("# HELP "), "samples before the first preamble");
+        let blocks: Vec<&str> = text.split("# HELP ").skip(1).collect();
+        assert_eq!(blocks.len(), families);
+        for block in blocks {
+            let name = block.split(' ').next().unwrap();
+            assert_eq!(text.matches(&format!("# HELP {name} ")).count(), 1, "{name}");
+            let mut lines = block.lines().skip(1);
+            assert!(lines.next().is_some_and(|t| t.starts_with(&format!("# TYPE {name} "))));
+            assert!(lines.all(|l| l.starts_with(name) && !l.starts_with('#')), "{name}");
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! The per-worker supervision state machine.
 //!
 //! Pure and clock-injected: every transition takes `now: Instant` from
-//! the caller, so the probe loop feeds it `SystemClock::now()` while the
-//! unit tests feed a `fairlens_monitor::ManualClock` and walk the
-//! backoff schedule deterministically. The machine never touches
+//! the caller, so the probe loop feeds it `Instant::now()` while the
+//! unit tests advance a plain `Instant` by hand and walk the backoff
+//! schedule deterministically. The machine never touches
 //! sockets or processes — the probe loop owns those and reports what it
 //! saw.
 //!
@@ -214,10 +214,7 @@ fn backoff(base: Duration, cap: Duration, attempt: u32) -> Duration {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
     use std::time::Duration;
-
-    use fairlens_monitor::{Clock, ManualClock};
 
     use super::*;
     use crate::placement;
@@ -234,20 +231,20 @@ mod tests {
 
     #[test]
     fn backoff_schedule_doubles_and_caps() {
-        let clock = Arc::new(ManualClock::new());
+        let mut now = Instant::now();
         let mut sup = WorkerSupervisor::new(cfg());
         sup.on_probe_ok();
         let mut seen = Vec::new();
         for _ in 0..3 {
-            match sup.on_exit(clock.now()) {
+            match sup.on_exit(now) {
                 Decision::Restart { after } => seen.push(after),
                 other => panic!("expected a restart, got {other:?}"),
             }
             // Not due until the full backoff has elapsed.
-            clock.advance(Duration::from_millis(1));
-            assert!(!sup.restart_due(clock.now()));
-            clock.advance(*seen.last().unwrap());
-            assert!(sup.restart_due(clock.now()));
+            now += Duration::from_millis(1);
+            assert!(!sup.restart_due(now));
+            now += *seen.last().unwrap();
+            assert!(sup.restart_due(now));
             sup.on_spawned();
         }
         assert_eq!(
@@ -262,19 +259,19 @@ mod tests {
 
     #[test]
     fn probe_flapping_needs_consecutive_failures() {
-        let clock = Arc::new(ManualClock::new());
+        let now = Instant::now();
         let mut sup = WorkerSupervisor::new(cfg());
         sup.on_probe_ok();
         // Two failures, then a success: the streak resets, no restart.
-        assert_eq!(sup.on_probe_fail(clock.now()), Decision::None);
-        assert_eq!(sup.on_probe_fail(clock.now()), Decision::None);
+        assert_eq!(sup.on_probe_fail(now), Decision::None);
+        assert_eq!(sup.on_probe_fail(now), Decision::None);
         sup.on_probe_ok();
         assert!(sup.routable(), "a flapping probe must not condemn the worker");
         // Three consecutive failures do.
-        assert_eq!(sup.on_probe_fail(clock.now()), Decision::None);
-        assert_eq!(sup.on_probe_fail(clock.now()), Decision::None);
+        assert_eq!(sup.on_probe_fail(now), Decision::None);
+        assert_eq!(sup.on_probe_fail(now), Decision::None);
         assert_eq!(
-            sup.on_probe_fail(clock.now()),
+            sup.on_probe_fail(now),
             Decision::Restart { after: Duration::from_millis(100) }
         );
         assert!(!sup.routable());
@@ -285,10 +282,10 @@ mod tests {
 
     #[test]
     fn stability_resets_the_attempt_counter() {
-        let clock = Arc::new(ManualClock::new());
+        let now = Instant::now();
         let mut sup = WorkerSupervisor::new(cfg());
         sup.on_probe_ok();
-        assert!(matches!(sup.on_exit(clock.now()), Decision::Restart { .. }));
+        assert!(matches!(sup.on_exit(now), Decision::Restart { .. }));
         sup.on_spawned();
         assert_eq!(sup.attempt(), 1);
         // Two healthy probes are not enough (ok_threshold = 3)...
@@ -299,7 +296,7 @@ mod tests {
         sup.on_probe_ok();
         assert_eq!(sup.attempt(), 0);
         assert_eq!(
-            sup.on_exit(clock.now()),
+            sup.on_exit(now),
             Decision::Restart { after: Duration::from_millis(100) },
             "backoff restarts from the base after a stable stretch"
         );
@@ -307,7 +304,7 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_marks_dead_and_rebalances_placement() {
-        let clock = Arc::new(ManualClock::new());
+        let mut now = Instant::now();
         let mut sups: Vec<WorkerSupervisor> =
             (0..3).map(|_| WorkerSupervisor::new(cfg())).collect();
         for s in &mut sups {
@@ -323,15 +320,15 @@ mod tests {
         // attempt counter never resets.
         for _ in 0..cfg().restart_budget {
             assert!(matches!(
-                sups[victim].on_exit(clock.now()),
+                sups[victim].on_exit(now),
                 Decision::Restart { .. }
             ));
-            clock.advance(Duration::from_secs(1));
-            assert!(sups[victim].restart_due(clock.now()));
+            now += Duration::from_secs(1);
+            assert!(sups[victim].restart_due(now));
             sups[victim].on_spawned();
             sups[victim].on_probe_ok(); // one probe, then dead again
         }
-        assert_eq!(sups[victim].on_exit(clock.now()), Decision::Dead);
+        assert_eq!(sups[victim].on_exit(now), Decision::Dead);
         assert_eq!(sups[victim].phase(), Phase::Dead);
         assert!(!sups[victim].in_placement());
 
@@ -347,13 +344,13 @@ mod tests {
 
     #[test]
     fn starting_worker_counts_probe_failures_too() {
-        let clock = Arc::new(ManualClock::new());
+        let now = Instant::now();
         let mut sup = WorkerSupervisor::new(cfg());
         assert_eq!(sup.phase(), Phase::Starting);
         assert!(!sup.routable());
         for _ in 0..2 {
-            assert_eq!(sup.on_probe_fail(clock.now()), Decision::None);
+            assert_eq!(sup.on_probe_fail(now), Decision::None);
         }
-        assert!(matches!(sup.on_probe_fail(clock.now()), Decision::Restart { .. }));
+        assert!(matches!(sup.on_probe_fail(now), Decision::Restart { .. }));
     }
 }

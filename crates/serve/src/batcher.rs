@@ -177,7 +177,7 @@ impl ModelWorker {
         match tx.try_send(job) {
             Ok(()) => {
                 *depth += 1;
-                self.metrics.set_queue_depth(&self.model_id, *depth);
+                self.metrics.queue_depth.set(&self.model_id, *depth);
                 Ok(())
             }
             Err(TrySendError::Full(_)) => Err(ServeError::new(
@@ -247,7 +247,7 @@ fn executor_loop(
     let dequeued = |n: u64| {
         let mut d = depth.lock().expect("queue depth lock poisoned");
         *d = d.saturating_sub(n);
-        metrics.set_queue_depth(model_id, *d);
+        metrics.queue_depth.set(model_id, *d);
     };
     loop {
         // Block for the first job; channel closure is the stop signal.

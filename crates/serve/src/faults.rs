@@ -1,11 +1,13 @@
 //! Deterministic fault injection for the serving path.
 //!
-//! Extends the benchmark runner's `FAIRLENS_FAULT` hook (PR 2) to the
-//! online stack so a chaos run can prove the server survives executor
-//! death, stuck predictions, and transient failures. Specs are matched
-//! by **model id** and carry a budget of `k` activations, decremented
-//! atomically, so a scripted run knows exactly how many faults fire and
-//! can assert the breaker re-closes once the budget is spent:
+//! Extends the benchmark runner's `FAIRLENS_FAULT` hook to the online
+//! stack so a chaos run can prove the server survives executor death,
+//! stuck predictions, and transient failures. Both parse the one spec
+//! grammar in `fairlens_budget::parse_faults`, each with its own kinds
+//! and field order. Specs are matched by **model id** and carry a
+//! budget of `k` activations, decremented atomically, so a scripted run
+//! knows exactly how many faults fire and can assert the breaker
+//! re-closes once the budget is spent:
 //!
 //! * `panic:<model>:<k>` — the executor thread panics at dequeue (before
 //!   the flush guard), killing it. Queued jobs lose their reply channel,
@@ -69,47 +71,14 @@ impl ServeFaults {
     /// Parse a `;`-separated spec list: `panic:<model>:<k>`,
     /// `hang:<model>:<k>`, `flaky:<k>:<model>`, `abort:<model>:<k>`.
     pub fn parse(s: &str) -> Result<Self, String> {
-        let specs = s
-            .split(';')
-            .map(str::trim)
-            .filter(|p| !p.is_empty())
-            .map(|part| {
-                let fields: Vec<&str> = part.split(':').collect();
-                let (kind, model, k) = match fields.as_slice() {
-                    ["panic", model, k] => (ServeFaultKind::Panic, *model, *k),
-                    ["hang", model, k] => (ServeFaultKind::Hang, *model, *k),
-                    ["flaky", k, model] => (ServeFaultKind::Flaky, *model, *k),
-                    ["abort", model, k] => (ServeFaultKind::Abort, *model, *k),
-                    _ => {
-                        return Err(format!(
-                            "bad fault spec {part:?} (want panic:<model>:<k>, \
-                             hang:<model>:<k>, flaky:<k>:<model> or abort:<model>:<k>)"
-                        ))
-                    }
-                };
-                let k: u32 = k
-                    .parse()
-                    .map_err(|_| format!("bad activation count {k:?} in {part:?}"))?;
-                Ok(FaultEntry {
-                    kind,
-                    model: model.to_string(),
-                    remaining: AtomicU32::new(k),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Self { specs })
+        Ok(Self { specs: fairlens_budget::parse_faults(s, parse_entry)? })
     }
 
     /// Faults from the `FAIRLENS_FAULT` environment variable. Malformed
     /// specs abort the process — a chaos-run configuration error must be
     /// caught before any request is served.
     pub fn from_env() -> Self {
-        match std::env::var("FAIRLENS_FAULT") {
-            Ok(v) if !v.trim().is_empty() => {
-                Self::parse(&v).unwrap_or_else(|e| panic!("FAIRLENS_FAULT: {e}"))
-            }
-            _ => Self::none(),
-        }
+        Self { specs: fairlens_budget::faults_from_env(parse_entry) }
     }
 
     /// Whether any spec exists at all (hot-path early-out).
@@ -136,6 +105,24 @@ impl ServeFaults {
                 }
             })
     }
+}
+
+/// One serve fault spec, already split into its fields.
+fn parse_entry(part: &str, fields: &[&str]) -> Result<FaultEntry, String> {
+    let (kind, model, k) = match fields {
+        ["panic", model, k] => (ServeFaultKind::Panic, *model, *k),
+        ["hang", model, k] => (ServeFaultKind::Hang, *model, *k),
+        ["flaky", k, model] => (ServeFaultKind::Flaky, *model, *k),
+        ["abort", model, k] => (ServeFaultKind::Abort, *model, *k),
+        _ => {
+            return Err(format!(
+                "bad fault spec {part:?} (want panic:<model>:<k>, \
+                 hang:<model>:<k>, flaky:<k>:<model> or abort:<model>:<k>)"
+            ))
+        }
+    };
+    let k: u32 = k.parse().map_err(|_| format!("bad activation count {k:?} in {part:?}"))?;
+    Ok(FaultEntry { kind, model: model.to_string(), remaining: AtomicU32::new(k) })
 }
 
 #[cfg(test)]

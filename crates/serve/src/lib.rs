@@ -24,7 +24,8 @@
 //!   Shed (429) and breaker (503) rejections carry `Retry-After`.
 //! * [`metrics`] — Prometheus text exposition: request/error counters,
 //!   latency and batch-size histograms, registry gauges, and the
-//!   overload series (sheds, queue depth, breaker state, in-flight).
+//!   overload series (sheds, queue depth, breaker state, in-flight),
+//!   all written by the one metric-family type the fleet also uses.
 //! * [`faults`] — deterministic `FAIRLENS_FAULT` chaos hooks
 //!   (`panic:`/`hang:`/`flaky:`/`abort:` per model id) for the chaos
 //!   harness; `abort:` kills the whole process at the k-th request, the

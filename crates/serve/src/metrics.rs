@@ -1,441 +1,353 @@
-//! Prometheus text-format metrics for the prediction server.
+//! Prometheus text-format metrics (exposition format 0.0.4), written by
+//! one family type for the server and the fleet alike.
 //!
-//! Counters use a mutexed map keyed by label tuple (request handling is
-//! socket-bound, so one short lock per request is noise); histograms use
-//! fixed buckets over atomics so the batcher's hot path never takes a
-//! lock. Rendering follows the Prometheus exposition format v0.0.4:
-//! `# HELP` / `# TYPE` preambles, cumulative `_bucket{le=...}` counts,
-//! `_sum` and `_count` per histogram.
+//! A [`Family`] is a counter or gauge: a mutexed `BTreeMap` from a typed
+//! label tuple ([`Labels`]) to a value, rendered in key order (numeric
+//! for worker ids). A [`Histogram`] keeps fixed buckets over atomics, so
+//! the batcher's hot path never takes a lock, and sums in integer
+//! nano-units, so no observation is truncated. Each family owns its name,
+//! help, type and label names and renders its own `# HELP` / `# TYPE`
+//! preamble and samples. Every label value passes through one escaper
+//! (`\`, `"` and newline), so no model id or client string can break or
+//! forge a line. A registry's `render()` is one [`exposition`] loop.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::fmt::{Display, Write as _};
+use std::ops::AddAssign;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 
 /// Latency buckets, seconds.
-const LATENCY_BUCKETS: [f64; 10] =
-    [0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0];
+const LATENCY_BUCKETS: &[f64] = &[0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0];
 /// Flush-size buckets, rows.
-const BATCH_BUCKETS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
+const BATCH_BUCKETS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 /// Predict-request phases, in request order. Must match the span names
 /// the handler emits so the trace and the exposition agree.
 pub const PREDICT_PHASES: [&str; 4] = ["parse", "queue", "batch", "predict"];
 
-/// A fixed-bucket histogram over atomics.
-struct Histogram<const N: usize> {
-    buckets: [AtomicU64; N],
-    overflow: AtomicU64,
-    /// Sum scaled by 1e6 (micro-units) to stay integral.
-    sum_micro: AtomicU64,
+/// A metric family as the exposition sees it.
+pub trait Render: Sync {
+    /// Append the family's `# HELP` / `# TYPE` preamble and its samples.
+    fn render(&self, out: &mut String);
+}
+
+/// The exposition of `families`, in order.
+pub fn exposition(families: &[&dyn Render]) -> String {
+    let mut out = String::with_capacity(2048);
+    families.iter().for_each(|f| f.render(&mut out));
+    out
+}
+
+/// A typed label tuple: the key of one series in a family.
+pub trait Labels: Ord + Borrow<Self::Ref> {
+    /// What updates look a series up by: `str` for a `String` key, the
+    /// key itself otherwise. Only a new series takes an owned key.
+    type Ref: Ord + ToOwned<Owned = Self> + ?Sized;
+    /// The label values, in the family's label-name order.
+    fn values(&self) -> Vec<String>;
+}
+
+// `labels!(Key => Ref, |self| values)` implements `Labels` for one key type.
+macro_rules! labels {
+    ($t:ty => $r:ty, |$s:ident| $values:expr) => {
+        impl Labels for $t {
+            type Ref = $r;
+            fn values(&$s) -> Vec<String> {
+                $values
+            }
+        }
+    };
+}
+labels!(() => (), |self| vec![]);
+labels!(String => str, |self| vec![self.clone()]);
+labels!(&'static str => &'static str, |self| vec![self.to_string()]);
+labels!(usize => usize, |self| vec![self.to_string()]);
+labels!(Option<&'static str> => Self, |self| self.iter().map(|v| v.to_string()).collect());
+labels!((String, u16) => Self, |self| vec![self.0.clone(), self.1.to_string()]);
+labels!((String, &'static str) => Self, |self| vec![self.0.clone(), self.1.to_string()]);
+labels!((String, String, String) => Self,
+    |self| vec![self.0.clone(), self.1.clone(), self.2.clone()]);
+
+/// A family's identity: everything its preamble and samples name.
+struct Desc {
+    name: &'static str,
+    help: &'static str,
+    kind: &'static str,
+    labels: &'static [&'static str],
+}
+
+impl Desc {
+    fn preamble(&self, out: &mut String) {
+        let Desc { name, help, kind, .. } = self;
+        let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
+    }
+
+    /// One sample line: `{name}{suffix}`, the escaped label set (omitted
+    /// when empty) with `le` last for a histogram bucket, then the value.
+    fn sample(&self, out: &mut String, suffix: &str, key: &impl Labels,
+              le: Option<&dyn Display>, value: &dyn Display) {
+        let escape = |v: String| v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
+        let names = self.labels.iter().zip(key.values());
+        let mut set: Vec<String> = names.map(|(n, v)| format!("{n}=\"{}\"", escape(v))).collect();
+        set.extend(le.map(|le| format!("le=\"{le}\"")));
+        let set = if set.is_empty() { String::new() } else { format!("{{{}}}", set.join(",")) };
+        let _ = writeln!(out, "{}{suffix}{set} {value}", self.name);
+    }
+}
+
+/// A counter or gauge family: one value per label tuple `K`.
+pub struct Family<K, V = u64> {
+    desc: Desc,
+    series: Mutex<BTreeMap<K, V>>,
+}
+
+impl<K: Labels + Default, V: Copy + Default + AddAssign> Family<K, V> {
+    /// A counter family with label names `labels`.
+    pub fn counter(name: &'static str, labels: &'static [&'static str], help: &'static str) -> Self {
+        Self::new(Desc { name, help, kind: "counter", labels })
+    }
+
+    /// A gauge family with label names `labels`.
+    pub fn gauge(name: &'static str, labels: &'static [&'static str], help: &'static str) -> Self {
+        Self::new(Desc { name, help, kind: "gauge", labels })
+    }
+
+    /// An unlabelled family starts with its one series at zero, so it
+    /// renders before its first update.
+    fn new(desc: Desc) -> Self {
+        let seed = desc.labels.is_empty().then(|| (K::default(), V::default()));
+        Self { desc, series: Mutex::new(seed.into_iter().collect()) }
+    }
+
+    /// The series map, for updates that touch several series at once.
+    pub fn series(&self) -> MutexGuard<'_, BTreeMap<K, V>> {
+        self.series.lock().expect("metrics lock poisoned")
+    }
+
+    fn update(&self, key: &K::Ref, f: impl FnOnce(&mut V)) {
+        let mut map = self.series();
+        match map.get_mut(key) {
+            Some(v) => f(v),
+            None => f(map.entry(key.to_owned()).or_default()),
+        }
+    }
+
+    /// Set the series at `key` to `value`.
+    pub fn set(&self, key: &K::Ref, value: V) {
+        self.update(key, |v| *v = value);
+    }
+
+    /// Add `n` to the series at `key`.
+    pub fn add(&self, key: &K::Ref, n: V) {
+        self.update(key, |v| *v += n);
+    }
+}
+
+impl<K: Labels + Default> Family<K> {
+    /// Add one to the series at `key`.
+    pub fn inc(&self, key: &K::Ref) {
+        self.add(key, 1);
+    }
+}
+
+impl<K: Labels + Send, V: Display + Send> Render for Family<K, V> {
+    fn render(&self, out: &mut String) {
+        self.desc.preamble(out);
+        for (key, value) in self.series.lock().expect("metrics lock poisoned").iter() {
+            self.desc.sample(out, "", key, None, value);
+        }
+    }
+}
+
+/// A histogram family: one series per value of its label, or a single
+/// series when it has none.
+pub struct Histogram {
+    desc: Desc,
+    bounds: &'static [f64],
+    series: Vec<(Option<&'static str>, Series)>,
+}
+
+/// One histogram series, all atomics.
+#[derive(Default)]
+struct Series {
+    /// Per-bucket counts; the last bucket lies above every bound (`+Inf`).
+    buckets: Vec<AtomicU64>,
+    /// Sum in nano-units: integral, so concurrent observes add atomically,
+    /// and fine enough that no observation is truncated. A `u64` holds
+    /// ~584 years of nanoseconds.
+    sum_nanos: AtomicU64,
     count: AtomicU64,
-    bounds: [f64; N],
 }
 
-impl<const N: usize> Histogram<N> {
-    fn new(bounds: [f64; N]) -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            overflow: AtomicU64::new(0),
-            sum_micro: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-            bounds,
+impl Histogram {
+    /// A histogram with one series per entry of `values` when it has a
+    /// label (`labels = &["phase"]`), or a single series when it has none.
+    pub fn new(name: &'static str, labels: &'static [&'static str], values: &[&'static str],
+               help: &'static str, bounds: &'static [f64]) -> Self {
+        let keys: Vec<_> = values.iter().map(|v| Some(*v)).collect();
+        let keys = if labels.is_empty() { vec![None] } else { keys };
+        let buckets = || (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
+        let series = keys.into_iter().map(|k| (k, Series { buckets: buckets(), ..Series::default() }));
+        Self { desc: Desc { name, help, kind: "histogram", labels }, bounds, series: series.collect() }
+    }
+
+    /// Observe `v` in the unlabelled series.
+    pub fn observe(&self, v: f64) {
+        self.observe_in(&self.series[0].1, v);
+    }
+
+    /// Observe `v` in the series labelled `value`. Unknown values are
+    /// ignored (they still reach the trace, just not the exposition).
+    pub fn observe_labelled(&self, value: &str, v: f64) {
+        if let Some((_, s)) = self.series.iter().find(|(key, _)| *key == Some(value)) {
+            self.observe_in(s, v);
         }
     }
 
-    fn observe(&self, v: f64) {
-        match self.bounds.iter().position(|&b| v <= b) {
-            Some(i) => self.buckets[i].fetch_add(1, Ordering::Relaxed),
-            None => self.overflow.fetch_add(1, Ordering::Relaxed),
-        };
-        self.sum_micro.fetch_add((v.max(0.0) * 1e6) as u64, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+    fn observe_in(&self, s: &Series, v: f64) {
+        let bucket = self.bounds.iter().position(|&b| v <= b).unwrap_or(self.bounds.len());
+        s.buckets[bucket].fetch_add(1, Relaxed);
+        s.sum_nanos.fetch_add((v.max(0.0) * 1e9).round() as u64, Relaxed);
+        s.count.fetch_add(1, Relaxed);
     }
+}
 
-    fn render(&self, out: &mut String, name: &str, help: &str) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        self.render_series(out, name, "");
-    }
-
-    /// One histogram series under a metric `name`, tagged with `label`
-    /// (e.g. `phase="queue"`; empty for an unlabelled histogram). The
-    /// caller owns the `# HELP`/`# TYPE` preamble so several labelled
-    /// series can share one metric family.
-    fn render_series(&self, out: &mut String, name: &str, label: &str) {
-        use std::fmt::Write as _;
-        let sep = if label.is_empty() { String::new() } else { format!("{label},") };
-        let mut cumulative = 0u64;
-        for (bound, bucket) in self.bounds.iter().zip(&self.buckets) {
-            cumulative += bucket.load(Ordering::Relaxed);
-            let _ = writeln!(out, "{name}_bucket{{{sep}le=\"{bound}\"}} {cumulative}");
+impl Render for Histogram {
+    fn render(&self, out: &mut String) {
+        self.desc.preamble(out);
+        for (key, s) in &self.series {
+            let les = self.bounds.iter().map(|b| b as &dyn Display).chain([&"+Inf" as &dyn Display]);
+            let mut cumulative = 0u64;
+            for (le, bucket) in les.zip(&s.buckets) {
+                cumulative += bucket.load(Relaxed);
+                self.desc.sample(out, "_bucket", key, Some(le), &cumulative);
+            }
+            let sum = s.sum_nanos.load(Relaxed) as f64 / 1e9;
+            self.desc.sample(out, "_sum", key, None, &sum);
+            self.desc.sample(out, "_count", key, None, &s.count.load(Relaxed));
         }
-        cumulative += self.overflow.load(Ordering::Relaxed);
-        let _ = writeln!(out, "{name}_bucket{{{sep}le=\"+Inf\"}} {cumulative}");
-        let sum = self.sum_micro.load(Ordering::Relaxed) as f64 / 1e6;
-        let braces = if label.is_empty() { String::new() } else { format!("{{{label}}}") };
-        let _ = writeln!(out, "{name}_sum{braces} {sum}");
-        let _ = writeln!(out, "{name}_count{braces} {}", self.count.load(Ordering::Relaxed));
     }
 }
 
-/// The server's metric registry.
-pub struct Metrics {
-    /// `(route, status)` → request count. BTreeMap keeps render order
-    /// deterministic.
-    requests: Mutex<BTreeMap<(String, u16), u64>>,
-    /// Error-taxonomy kind → count.
-    errors: Mutex<BTreeMap<&'static str, u64>>,
-    latency: Histogram<10>,
-    /// Per-phase latency, index-aligned with [`PREDICT_PHASES`].
-    phases: [Histogram<10>; 4],
-    batch_rows: Histogram<8>,
-    rows_total: AtomicU64,
-    models_loaded: AtomicU64,
-    model_evictions: AtomicU64,
-    /// Shed reason → count (`queue_full` / `inflight` / `breaker_open`).
-    sheds: Mutex<BTreeMap<&'static str, u64>>,
-    /// Model id → live executor queue depth.
-    queue_depth: Mutex<BTreeMap<String, u64>>,
-    /// Model id → (breaker state gauge, opens counter).
-    breakers: Mutex<BTreeMap<String, (u64, u64)>>,
-    /// Model id → (shadow comparisons, divergences observed).
-    shadow: Mutex<BTreeMap<String, (u64, u64)>>,
-    /// Predict requests currently being handled.
-    inflight: AtomicU64,
-    /// Artifacts that failed to load/restore and were quarantined.
-    load_failures: AtomicU64,
-    /// `(model, metric, group)` → live windowed fairness-metric value.
-    live: Mutex<BTreeMap<(String, String, String), f64>>,
-    /// Model id → drift-state gauge (0 ok / 1 warning / 2 alerting).
-    drift: Mutex<BTreeMap<String, u64>>,
-    /// `(model, status)` → feedback reports (ok/unknown/duplicate/invalid).
-    feedback: Mutex<BTreeMap<(String, &'static str), u64>>,
+/// Declare a metric registry: a struct of families, a `new()` that
+/// builds them and a `render()` that writes them in declaration order.
+#[macro_export]
+macro_rules! metric_registry {
+    ($(#[$doc:meta])* pub struct $name:ident {
+        $($(#[$fdoc:meta])* $vis:vis $field:ident: $ty:ty = $init:expr,)*
+    }) => {
+        $(#[$doc])*
+        pub struct $name {
+            $($(#[$fdoc])* $vis $field: $ty,)*
+        }
+
+        impl Default for $name {
+            fn default() -> Self {
+                Self::new()
+            }
+        }
+
+        impl $name {
+            /// A fresh registry.
+            pub fn new() -> Self {
+                Self { $($field: $init,)* }
+            }
+
+            /// Render the Prometheus text exposition.
+            pub fn render(&self) -> String {
+                $crate::metrics::exposition(&[$(&self.$field),*])
+            }
+        }
+    };
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new()
+const MODEL: &[&str] = &["model"];
+
+metric_registry! {
+    /// The server's metric registry: 19 families. Callers update a family
+    /// directly; the methods below keep two families, or one model's
+    /// slice of a family, in step.
+    pub struct Metrics {
+        requests: Family<(String, u16)> = Family::counter("fairlens_requests_total",
+            &["route", "status"], "Handled HTTP requests."),
+        pub errors: Family<&'static str> = Family::counter("fairlens_errors_total", &["kind"],
+            "Structured errors by taxonomy kind."),
+        latency: Histogram = Histogram::new("fairlens_request_latency_seconds", &[], &[],
+            "Request wall-clock latency.", LATENCY_BUCKETS),
+        /// One series per [`PREDICT_PHASES`] entry.
+        pub phases: Histogram = Histogram::new("fairlens_phase_seconds", &["phase"], &PREDICT_PHASES,
+            "Predict-request time by phase (parse/queue/batch/predict).", LATENCY_BUCKETS),
+        batch_rows: Histogram = Histogram::new("fairlens_batch_rows", &[], &[],
+            "Rows per batcher flush (one matrix pass each).", BATCH_BUCKETS),
+        rows_total: Family<()> = Family::counter("fairlens_predict_rows_total", &[],
+            "Predicted rows."),
+        pub sheds: Family<&'static str> = Family::counter("fairlens_shed_total", &["reason"],
+            "Requests shed by admission control, by reason."),
+        pub queue_depth: Family<String> = Family::gauge("fairlens_queue_depth", MODEL,
+            "Jobs queued per model executor."),
+        breaker_state: Family<String> = Family::gauge("fairlens_breaker_state", MODEL,
+            "Circuit-breaker state per model (0 closed, 1 half-open, 2 open)."),
+        pub breaker_opens: Family<String> = Family::counter("fairlens_breaker_opens_total", MODEL,
+            "Breaker trips (transitions to open)."),
+        shadow_compared: Family<String> = Family::counter("fairlens_shadow_compared_total", MODEL,
+            "Requests scored by both the incumbent and its shadow candidate."),
+        shadow_divergence: Family<String> = Family::counter("fairlens_shadow_divergence_total",
+            MODEL, "Shadow comparisons where the candidate's scores differed from the incumbent's."),
+        live: Family<(String, String, String), f64> = Family::gauge("fairlens_live_metric",
+            &["model", "metric", "group"],
+            "Windowed live fairness/correctness metrics over scored traffic."),
+        pub drift: Family<String> = Family::gauge("fairlens_drift_state", MODEL,
+            "Live-vs-training drift status per model (0 ok, 1 warning, 2 alerting)."),
+        pub feedback: Family<(String, &'static str)> = Family::counter("fairlens_feedback_total",
+            &["model", "status"], "Outcome-label reports via POST /v1/feedback, by status."),
+        pub inflight: Family<()> = Family::gauge("fairlens_inflight", &[],
+            "Predict requests currently in flight."),
+        pub load_failures: Family<()> = Family::counter("fairlens_model_load_failures_total", &[],
+            "Artifact load failures (quarantines)."),
+        pub models_loaded: Family<()> = Family::gauge("fairlens_models_loaded", &[],
+            "Models resident in the registry."),
+        pub evictions: Family<()> = Family::counter("fairlens_model_evictions_total", &[],
+            "LRU evictions."),
     }
 }
 
 impl Metrics {
-    /// A fresh registry.
-    pub fn new() -> Self {
-        Self {
-            requests: Mutex::new(BTreeMap::new()),
-            errors: Mutex::new(BTreeMap::new()),
-            latency: Histogram::new(LATENCY_BUCKETS),
-            phases: std::array::from_fn(|_| Histogram::new(LATENCY_BUCKETS)),
-            batch_rows: Histogram::new(BATCH_BUCKETS),
-            rows_total: AtomicU64::new(0),
-            models_loaded: AtomicU64::new(0),
-            model_evictions: AtomicU64::new(0),
-            sheds: Mutex::new(BTreeMap::new()),
-            queue_depth: Mutex::new(BTreeMap::new()),
-            breakers: Mutex::new(BTreeMap::new()),
-            shadow: Mutex::new(BTreeMap::new()),
-            inflight: AtomicU64::new(0),
-            load_failures: AtomicU64::new(0),
-            live: Mutex::new(BTreeMap::new()),
-            drift: Mutex::new(BTreeMap::new()),
-            feedback: Mutex::new(BTreeMap::new()),
-        }
-    }
-
     /// Count one handled request and its wall-clock latency.
     pub fn record_request(&self, route: &str, status: u16, latency_secs: f64) {
-        *self
-            .requests
-            .lock()
-            .unwrap()
-            .entry((route.to_string(), status))
-            .or_insert(0) += 1;
+        self.requests.inc(&(route.to_string(), status));
         self.latency.observe(latency_secs);
-    }
-
-    /// Record time spent in one predict-request phase. Unknown phase
-    /// names are ignored (they still reach the trace, just not the
-    /// exposition).
-    pub fn record_phase(&self, phase: &str, secs: f64) {
-        if let Some(i) = PREDICT_PHASES.iter().position(|p| *p == phase) {
-            self.phases[i].observe(secs);
-        }
-    }
-
-    /// Count one taxonomy error.
-    pub fn record_error(&self, kind: &'static str) {
-        *self.errors.lock().unwrap().entry(kind).or_insert(0) += 1;
     }
 
     /// Record one batcher flush of `rows` rows.
     pub fn record_flush(&self, rows: usize) {
         self.batch_rows.observe(rows as f64);
-        self.rows_total.fetch_add(rows as u64, Ordering::Relaxed);
-    }
-
-    /// Track the number of resident models.
-    pub fn set_models_loaded(&self, n: usize) {
-        self.models_loaded.store(n as u64, Ordering::Relaxed);
-    }
-
-    /// Count one LRU eviction.
-    pub fn record_eviction(&self) {
-        self.model_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one shed request by admission-control reason.
-    pub fn record_shed(&self, reason: &'static str) {
-        *self.sheds.lock().unwrap().entry(reason).or_insert(0) += 1;
-    }
-
-    /// Track one model's live executor queue depth.
-    pub fn set_queue_depth(&self, model: &str, depth: u64) {
-        // Entry reuse keeps this at one allocation per model, not per job.
-        let mut map = self.queue_depth.lock().unwrap();
-        match map.get_mut(model) {
-            Some(d) => *d = depth,
-            None => {
-                map.insert(model.to_string(), depth);
-            }
-        }
+        self.rows_total.add(&(), rows as u64);
     }
 
     /// Track one model's breaker state (0 closed / 1 half-open / 2 open).
+    /// A model with a breaker also reports its opens counter, from zero.
     pub fn set_breaker_state(&self, model: &str, gauge: u64) {
-        let mut map = self.breakers.lock().unwrap();
-        map.entry(model.to_string()).or_insert((0, 0)).0 = gauge;
-    }
-
-    /// Count one closed→open (or half-open→open) breaker transition.
-    pub fn record_breaker_open(&self, model: &str) {
-        self.breakers.lock().unwrap().entry(model.to_string()).or_insert((0, 0)).1 += 1;
+        self.breaker_state.set(model, gauge);
+        self.breaker_opens.add(model, 0);
     }
 
     /// Count one shadow comparison for `model`, and whether the candidate
     /// diverged from the incumbent on it.
     pub fn record_shadow_compare(&self, model: &str, diverged: bool) {
-        let mut map = self.shadow.lock().unwrap();
-        let entry = map.entry(model.to_string()).or_insert((0, 0));
-        entry.0 += 1;
-        if diverged {
-            entry.1 += 1;
-        }
-    }
-
-    /// Track the number of predict requests currently in flight.
-    pub fn set_inflight(&self, n: u64) {
-        self.inflight.store(n, Ordering::Relaxed);
-    }
-
-    /// Count one artifact load/restore failure (quarantine).
-    pub fn record_load_failure(&self) {
-        self.load_failures.fetch_add(1, Ordering::Relaxed);
+        self.shadow_compared.inc(model);
+        self.shadow_divergence.add(model, u64::from(diverged));
     }
 
     /// Publish the full live-metric suite for one model, replacing the
     /// previous snapshot (metrics that left the suite — e.g. a group
     /// vanished from the window — must disappear from the exposition).
     pub fn set_live_metrics(&self, model: &str, values: &[(&str, &str, f64)]) {
-        let mut map = self.live.lock().unwrap();
+        let mut map = self.live.series();
         map.retain(|(m, _, _), _| m != model);
         for &(metric, group, value) in values {
             map.insert((model.to_string(), metric.to_string(), group.to_string()), value);
         }
-    }
-
-    /// Track one model's drift state (0 ok / 1 warning / 2 alerting).
-    pub fn set_drift_state(&self, model: &str, gauge: u64) {
-        let mut map = self.drift.lock().unwrap();
-        match map.get_mut(model) {
-            Some(g) => *g = gauge,
-            None => {
-                map.insert(model.to_string(), gauge);
-            }
-        }
-    }
-
-    /// Count one `POST /v1/feedback` report by outcome
-    /// (`ok` / `unknown` / `duplicate` / `invalid`).
-    pub fn record_feedback(&self, model: &str, status: &'static str) {
-        *self.feedback.lock().unwrap().entry((model.to_string(), status)).or_insert(0) += 1;
-    }
-
-    /// Render the Prometheus text exposition.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(2048);
-
-        let _ = writeln!(out, "# HELP fairlens_requests_total Handled HTTP requests.");
-        let _ = writeln!(out, "# TYPE fairlens_requests_total counter");
-        for ((route, status), count) in self.requests.lock().unwrap().iter() {
-            let _ = writeln!(
-                out,
-                "fairlens_requests_total{{route=\"{route}\",status=\"{status}\"}} {count}"
-            );
-        }
-
-        let _ = writeln!(out, "# HELP fairlens_errors_total Structured errors by taxonomy kind.");
-        let _ = writeln!(out, "# TYPE fairlens_errors_total counter");
-        for (kind, count) in self.errors.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_errors_total{{kind=\"{kind}\"}} {count}");
-        }
-
-        self.latency.render(
-            &mut out,
-            "fairlens_request_latency_seconds",
-            "Request wall-clock latency.",
-        );
-        let _ = writeln!(
-            out,
-            "# HELP fairlens_phase_seconds Predict-request time by phase \
-             (parse/queue/batch/predict)."
-        );
-        let _ = writeln!(out, "# TYPE fairlens_phase_seconds histogram");
-        for (phase, hist) in PREDICT_PHASES.iter().zip(&self.phases) {
-            hist.render_series(&mut out, "fairlens_phase_seconds", &format!("phase=\"{phase}\""));
-        }
-
-        self.batch_rows.render(
-            &mut out,
-            "fairlens_batch_rows",
-            "Rows per batcher flush (one matrix pass each).",
-        );
-
-        let _ = writeln!(out, "# HELP fairlens_predict_rows_total Predicted rows.");
-        let _ = writeln!(out, "# TYPE fairlens_predict_rows_total counter");
-        let _ = writeln!(
-            out,
-            "fairlens_predict_rows_total {}",
-            self.rows_total.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# HELP fairlens_shed_total Requests shed by admission control, by reason."
-        );
-        let _ = writeln!(out, "# TYPE fairlens_shed_total counter");
-        for (reason, count) in self.sheds.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_shed_total{{reason=\"{reason}\"}} {count}");
-        }
-
-        let _ = writeln!(out, "# HELP fairlens_queue_depth Jobs queued per model executor.");
-        let _ = writeln!(out, "# TYPE fairlens_queue_depth gauge");
-        for (model, depth) in self.queue_depth.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_queue_depth{{model=\"{model}\"}} {depth}");
-        }
-
-        {
-            let breakers = self.breakers.lock().unwrap();
-            let _ = writeln!(
-                out,
-                "# HELP fairlens_breaker_state Circuit-breaker state per model \
-                 (0 closed, 1 half-open, 2 open)."
-            );
-            let _ = writeln!(out, "# TYPE fairlens_breaker_state gauge");
-            for (model, (gauge, _)) in breakers.iter() {
-                let _ = writeln!(out, "fairlens_breaker_state{{model=\"{model}\"}} {gauge}");
-            }
-            let _ = writeln!(
-                out,
-                "# HELP fairlens_breaker_opens_total Breaker trips (transitions to open)."
-            );
-            let _ = writeln!(out, "# TYPE fairlens_breaker_opens_total counter");
-            for (model, (_, opens)) in breakers.iter() {
-                let _ =
-                    writeln!(out, "fairlens_breaker_opens_total{{model=\"{model}\"}} {opens}");
-            }
-        }
-
-        {
-            let shadow = self.shadow.lock().unwrap();
-            let _ = writeln!(
-                out,
-                "# HELP fairlens_shadow_compared_total Requests scored by both the \
-                 incumbent and its shadow candidate."
-            );
-            let _ = writeln!(out, "# TYPE fairlens_shadow_compared_total counter");
-            for (model, (compared, _)) in shadow.iter() {
-                let _ = writeln!(
-                    out,
-                    "fairlens_shadow_compared_total{{model=\"{model}\"}} {compared}"
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# HELP fairlens_shadow_divergence_total Shadow comparisons where the \
-                 candidate's scores differed from the incumbent's."
-            );
-            let _ = writeln!(out, "# TYPE fairlens_shadow_divergence_total counter");
-            for (model, (_, diverged)) in shadow.iter() {
-                let _ = writeln!(
-                    out,
-                    "fairlens_shadow_divergence_total{{model=\"{model}\"}} {diverged}"
-                );
-            }
-        }
-
-        let _ = writeln!(
-            out,
-            "# HELP fairlens_live_metric Windowed live fairness/correctness metrics \
-             over scored traffic."
-        );
-        let _ = writeln!(out, "# TYPE fairlens_live_metric gauge");
-        for ((model, metric, group), value) in self.live.lock().unwrap().iter() {
-            let _ = writeln!(
-                out,
-                "fairlens_live_metric{{model=\"{model}\",metric=\"{metric}\",group=\"{group}\"}} {value}"
-            );
-        }
-
-        let _ = writeln!(
-            out,
-            "# HELP fairlens_drift_state Live-vs-training drift status per model \
-             (0 ok, 1 warning, 2 alerting)."
-        );
-        let _ = writeln!(out, "# TYPE fairlens_drift_state gauge");
-        for (model, gauge) in self.drift.lock().unwrap().iter() {
-            let _ = writeln!(out, "fairlens_drift_state{{model=\"{model}\"}} {gauge}");
-        }
-
-        let _ = writeln!(
-            out,
-            "# HELP fairlens_feedback_total Outcome-label reports via POST /v1/feedback, \
-             by status."
-        );
-        let _ = writeln!(out, "# TYPE fairlens_feedback_total counter");
-        for ((model, status), count) in self.feedback.lock().unwrap().iter() {
-            let _ = writeln!(
-                out,
-                "fairlens_feedback_total{{model=\"{model}\",status=\"{status}\"}} {count}"
-            );
-        }
-
-        let _ = writeln!(out, "# HELP fairlens_inflight Predict requests currently in flight.");
-        let _ = writeln!(out, "# TYPE fairlens_inflight gauge");
-        let _ = writeln!(out, "fairlens_inflight {}", self.inflight.load(Ordering::Relaxed));
-
-        let _ = writeln!(
-            out,
-            "# HELP fairlens_model_load_failures_total Artifact load failures (quarantines)."
-        );
-        let _ = writeln!(out, "# TYPE fairlens_model_load_failures_total counter");
-        let _ = writeln!(
-            out,
-            "fairlens_model_load_failures_total {}",
-            self.load_failures.load(Ordering::Relaxed)
-        );
-
-        let _ = writeln!(out, "# HELP fairlens_models_loaded Models resident in the registry.");
-        let _ = writeln!(out, "# TYPE fairlens_models_loaded gauge");
-        let _ =
-            writeln!(out, "fairlens_models_loaded {}", self.models_loaded.load(Ordering::Relaxed));
-        let _ = writeln!(out, "# HELP fairlens_model_evictions_total LRU evictions.");
-        let _ = writeln!(out, "# TYPE fairlens_model_evictions_total counter");
-        let _ = writeln!(
-            out,
-            "fairlens_model_evictions_total {}",
-            self.model_evictions.load(Ordering::Relaxed)
-        );
-        out
     }
 }
 
@@ -449,15 +361,15 @@ mod tests {
         m.record_request("/v1/predict", 200, 0.003);
         m.record_request("/v1/predict", 200, 0.3);
         m.record_request("/v1/predict", 400, 0.0001);
-        m.record_error("bad_request");
-        m.record_phase("queue", 0.002);
-        m.record_phase("queue", 0.004);
-        m.record_phase("predict", 0.05);
-        m.record_phase("not-a-phase", 1.0); // ignored, not a panic
+        m.errors.inc(&"bad_request");
+        m.phases.observe_labelled("queue", 0.002);
+        m.phases.observe_labelled("queue", 0.004);
+        m.phases.observe_labelled("predict", 0.05);
+        m.phases.observe_labelled("not-a-phase", 1.0); // ignored, not a panic
         m.record_flush(3);
         m.record_flush(200);
-        m.set_models_loaded(2);
-        m.record_eviction();
+        m.models_loaded.set(&(), 2);
+        m.evictions.inc(&());
         let text = m.render();
         assert!(text.contains(
             "fairlens_requests_total{route=\"/v1/predict\",status=\"200\"} 2"
@@ -488,15 +400,15 @@ mod tests {
     #[test]
     fn overload_and_breaker_series_render() {
         let m = Metrics::new();
-        m.record_shed("queue_full");
-        m.record_shed("queue_full");
-        m.record_shed("inflight");
-        m.set_queue_depth("german-lr", 3);
-        m.set_queue_depth("german-lr", 1); // gauge keeps the latest value
+        m.sheds.inc(&"queue_full");
+        m.sheds.inc(&"queue_full");
+        m.sheds.inc(&"inflight");
+        m.queue_depth.set("german-lr", 3);
+        m.queue_depth.set("german-lr", 1); // gauge keeps the latest value
         m.set_breaker_state("german-lr", 2);
-        m.record_breaker_open("german-lr");
-        m.set_inflight(5);
-        m.record_load_failure();
+        m.breaker_opens.inc("german-lr");
+        m.inflight.set(&(), 5);
+        m.load_failures.inc(&());
         m.record_shadow_compare("german-lr", false);
         m.record_shadow_compare("german-lr", true);
         let text = m.render();
@@ -518,10 +430,10 @@ mod tests {
             "german-lr",
             &[("di_star", "all", 0.75), ("pos_rate", "0", 0.5), ("pos_rate", "1", 0.375)],
         );
-        m.set_drift_state("german-lr", 0);
-        m.record_feedback("german-lr", "ok");
-        m.record_feedback("german-lr", "ok");
-        m.record_feedback("german-lr", "duplicate");
+        m.drift.set("german-lr", 0);
+        m.feedback.inc(&("german-lr".to_string(), "ok"));
+        m.feedback.inc(&("german-lr".to_string(), "ok"));
+        m.feedback.inc(&("german-lr".to_string(), "duplicate"));
         let text = m.render();
         assert!(text.contains(
             "fairlens_live_metric{model=\"german-lr\",metric=\"di_star\",group=\"all\"} 0.75"
@@ -536,12 +448,94 @@ mod tests {
         ));
         // A new snapshot replaces the model's whole live suite.
         m.set_live_metrics("german-lr", &[("di_star", "all", 0.8)]);
-        m.set_drift_state("german-lr", 2);
+        m.drift.set("german-lr", 2);
         let text = m.render();
         assert!(text.contains(
             "fairlens_live_metric{model=\"german-lr\",metric=\"di_star\",group=\"all\"} 0.8"
         ));
         assert!(!text.contains("pos_rate"), "stale series must be dropped");
         assert!(text.contains("fairlens_drift_state{model=\"german-lr\"} 2"));
+    }
+
+    /// A fixed event sequence touching all 19 families, with values whose
+    /// sums are exact in both micro- and nano-units and label values that
+    /// need no escaping, so the bytes predate the one-writer refactor.
+    #[test]
+    fn exposition_bytes_are_pinned() {
+        let m = Metrics::new();
+        m.record_request("/v1/predict", 200, 0.0625);
+        m.record_request("/v1/predict", 200, 0.5);
+        m.record_request("/healthz", 200, 0.0);
+        m.record_request("parse-error", 400, 2.0);
+        m.errors.inc(&"bad_request");
+        m.errors.inc(&"unknown_model");
+        for (phase, secs) in
+            [("parse", 0.0625), ("queue", 0.125), ("batch", 0.25), ("predict", 0.5), ("predict", 4.0)]
+        {
+            m.phases.observe_labelled(phase, secs);
+        }
+        m.record_flush(3);
+        m.record_flush(200);
+        m.models_loaded.set(&(), 2);
+        m.evictions.inc(&());
+        m.sheds.inc(&"queue_full");
+        m.sheds.inc(&"queue_full");
+        m.sheds.inc(&"inflight");
+        m.queue_depth.set("german-lr", 3);
+        m.queue_depth.set("adult-feld", 0);
+        m.set_breaker_state("german-lr", 2);
+        m.breaker_opens.inc("german-lr");
+        m.set_breaker_state("adult-feld", 0);
+        m.record_shadow_compare("german-lr", true);
+        m.record_shadow_compare("german-lr", false);
+        m.inflight.set(&(), 5);
+        m.load_failures.inc(&());
+        m.set_live_metrics(
+            "german-lr",
+            &[("di_star", "all", 0.75), ("pos_rate", "0", 0.5), ("pos_rate", "1", 0.375)],
+        );
+        m.drift.set("german-lr", 1);
+        m.drift.set("adult-feld", 0);
+        m.feedback.inc(&("german-lr".to_string(), "ok"));
+        m.feedback.inc(&("german-lr".to_string(), "ok"));
+        m.feedback.inc(&("german-lr".to_string(), "duplicate"));
+        let text = m.render();
+        assert_eq!(text, include_str!("testdata/metrics.prom"));
+        assert_preambles(&text, 19);
+    }
+
+    #[test]
+    fn histogram_sum_keeps_sub_microsecond_parts() {
+        let m = Metrics::new();
+        for _ in 0..10 {
+            m.phases.observe_labelled("predict", 3.8e-6);
+        }
+        let text = m.render();
+        assert!(text.contains("fairlens_phase_seconds_sum{phase=\"predict\"} 0.000038\n"), "{text}");
+    }
+
+    #[test]
+    fn label_values_are_escaped() {
+        let m = Metrics::new();
+        m.queue_depth.set("a\"b\\c\nd", 1);
+        m.feedback.inc(&("x\ny".to_string(), "ok"));
+        let text = m.render();
+        assert!(text.contains("fairlens_queue_depth{model=\"a\\\"b\\\\c\\nd\"} 1\n"), "{text}");
+        assert!(text.contains("fairlens_feedback_total{model=\"x\\ny\",status=\"ok\"} 1\n"));
+        assert_preambles(&text, 19);
+    }
+
+    /// Every family has one `# HELP`, then one `# TYPE`, before its samples.
+    fn assert_preambles(text: &str, families: usize) {
+        assert!(text.starts_with("# HELP "), "samples before the first preamble");
+        let blocks: Vec<&str> = text.split("# HELP ").skip(1).collect();
+        assert_eq!(blocks.len(), families);
+        for block in blocks {
+            let name = block.split(' ').next().unwrap();
+            assert_eq!(text.matches(&format!("# HELP {name} ")).count(), 1, "{name}");
+            let mut lines = block.lines().skip(1);
+            assert!(lines.next().is_some_and(|t| t.starts_with(&format!("# TYPE {name} "))));
+            assert!(lines.all(|l| l.starts_with(name) && !l.starts_with('#')), "{name}");
+        }
     }
 }

@@ -79,7 +79,7 @@ impl MonitorHub {
         };
         match result {
             Ok(receipt) => {
-                self.metrics.record_feedback(model, "ok");
+                self.metrics.feedback.inc(&(model.to_string(), "ok"));
                 Ok(receipt)
             }
             Err(e) => {
@@ -88,7 +88,7 @@ impl MonitorHub {
                     FeedbackError::Duplicate(_) => ("duplicate", ErrorKind::Conflict),
                     FeedbackError::WrongCount { .. } => ("invalid", ErrorKind::BadRequest),
                 };
-                self.metrics.record_feedback(model, status);
+                self.metrics.feedback.inc(&(model.to_string(), status));
                 Err(ServeError::new(kind, format!("feedback for model {model:?}: {e}")))
             }
         }
@@ -113,7 +113,7 @@ impl MonitorHub {
         let live: Vec<(&str, &str, f64)> =
             snap.live.iter().map(|m| (m.metric, m.group, m.value)).collect();
         self.metrics.set_live_metrics(model, &live);
-        self.metrics.set_drift_state(model, snap.drift_state.gauge());
+        self.metrics.drift.set(model, snap.drift_state.gauge());
         if let Some((from, to)) = transition {
             fairlens_trace::event(match to {
                 DriftState::Ok => "drift:ok",

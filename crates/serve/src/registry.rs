@@ -206,7 +206,7 @@ impl Registry {
                 }
                 Err(reason) => {
                     eprintln!("[serve] quarantining {}: {reason}", path.display());
-                    metrics.record_load_failure();
+                    metrics.load_failures.inc(&());
                     quarantined.insert(id, reason);
                 }
             }
@@ -326,7 +326,7 @@ impl Registry {
                     self.metrics.set_breaker_state(id, b.state().gauge());
                 }
                 Admission::Reject { retry_after } => {
-                    self.metrics.record_shed("breaker_open");
+                    self.metrics.sheds.inc(&"breaker_open");
                     return Err(ServeError::new(
                         ErrorKind::Unavailable,
                         format!("model {id:?} breaker is open; retry later"),
@@ -359,7 +359,7 @@ impl Registry {
             // Executor thread gone: drop the corpse and fall through to
             // a fresh restore from the artifact.
             lru.map.remove(id);
-            self.metrics.set_queue_depth(id, 0);
+            self.metrics.queue_depth.set(id, 0);
             eprintln!("[serve] respawning dead executor for model {id:?}");
         }
         let pipeline = match load_artifact(&info.path) {
@@ -368,7 +368,7 @@ impl Registry {
                 // Negative-cache the failure: quarantine the id so the
                 // next request fails fast instead of re-reading the file.
                 eprintln!("[serve] quarantining {id:?} at load: {reason}");
-                self.metrics.record_load_failure();
+                self.metrics.load_failures.inc(&());
                 self.quarantined.lock().unwrap().insert(id.to_string(), reason.clone());
                 return Err(ServeError::new(
                     ErrorKind::Unavailable,
@@ -397,9 +397,9 @@ impl Registry {
             // a handler still holds its Arc, the executor survives until
             // that request completes.
             lru.map.remove(&victim);
-            self.metrics.record_eviction();
+            self.metrics.evictions.inc(&());
         }
-        self.metrics.set_models_loaded(lru.map.len());
+        self.metrics.models_loaded.set(&(), lru.map.len() as u64);
         Ok(worker)
     }
 
@@ -412,11 +412,11 @@ impl Registry {
             if let Some((_, cached)) = lru.map.get(id) {
                 if Arc::ptr_eq(cached, worker) {
                     lru.map.remove(id);
-                    self.metrics.set_models_loaded(lru.map.len());
+                    self.metrics.models_loaded.set(&(), lru.map.len() as u64);
                 }
             }
             // The corpse's queue is gone with it.
-            self.metrics.set_queue_depth(id, 0);
+            self.metrics.queue_depth.set(id, 0);
         }
         self.report_breaker_only(id, outcome);
     }
@@ -437,7 +437,7 @@ impl Registry {
             }
         };
         if opened {
-            self.metrics.record_breaker_open(id);
+            self.metrics.breaker_opens.inc(id);
             eprintln!("[serve] breaker opened for model {id:?}");
         }
         self.metrics.set_breaker_state(id, b.state().gauge());
@@ -590,8 +590,8 @@ impl Registry {
         {
             let mut lru = self.loaded.lock().unwrap();
             lru.map.remove(id);
-            self.metrics.set_models_loaded(lru.map.len());
-            self.metrics.set_queue_depth(id, 0);
+            self.metrics.models_loaded.set(&(), lru.map.len() as u64);
+            self.metrics.queue_depth.set(id, 0);
         }
         let compared = state.compared;
         shadows.remove(id);
@@ -633,7 +633,7 @@ impl Registry {
             // The file on disk is (still) bad: keep or enter quarantine
             // so per-request traffic keeps getting the cached 503.
             eprintln!("[serve] refresh of model {id:?} failed: {reason}");
-            self.metrics.record_load_failure();
+            self.metrics.load_failures.inc(&());
             self.quarantined.lock().unwrap().insert(id.to_string(), reason.clone());
             ServeError::new(
                 ErrorKind::Unavailable,
@@ -649,8 +649,8 @@ impl Registry {
         {
             let mut lru = self.loaded.lock().unwrap();
             lru.map.remove(id);
-            self.metrics.set_models_loaded(lru.map.len());
-            self.metrics.set_queue_depth(id, 0);
+            self.metrics.models_loaded.set(&(), lru.map.len() as u64);
+            self.metrics.queue_depth.set(id, 0);
         }
         self.shadows.lock().unwrap().remove(id);
         eprintln!("[serve] refreshed model {id:?} from disk");
@@ -663,7 +663,7 @@ impl Registry {
         self.shadows.lock().unwrap().clear();
         let mut lru = self.loaded.lock().unwrap();
         lru.map.clear();
-        self.metrics.set_models_loaded(0);
+        self.metrics.models_loaded.set(&(), 0);
     }
 }
 

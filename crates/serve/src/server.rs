@@ -202,7 +202,7 @@ impl<'a> InflightSlot<'a> {
             ctx.inflight.fetch_sub(1, Ordering::SeqCst);
             return None;
         }
-        ctx.metrics.set_inflight(n);
+        ctx.metrics.inflight.set(&(), n);
         Some(Self { ctx })
     }
 }
@@ -210,7 +210,7 @@ impl<'a> InflightSlot<'a> {
 impl Drop for InflightSlot<'_> {
     fn drop(&mut self) {
         let n = self.ctx.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
-        self.ctx.metrics.set_inflight(n);
+        self.ctx.metrics.inflight.set(&(), n);
     }
 }
 
@@ -343,7 +343,7 @@ impl Handler for Ctx {
     fn handle(&self, req: &Request) -> Response {
         let t0 = Instant::now();
         let resp = route(self, req).unwrap_or_else(|e| {
-            self.metrics.record_error(e.kind.name());
+            self.metrics.errors.inc(&e.kind.name());
             Response::error(&e)
         });
         // Known paths keep their own metric label; the rest share one so
@@ -368,7 +368,7 @@ impl Handler for Ctx {
     }
 
     fn parse_error(&self, e: &ServeError) {
-        self.metrics.record_error(e.kind.name());
+        self.metrics.errors.inc(&e.kind.name());
         self.metrics.record_request("parse-error", e.kind.status(), 0.0);
     }
 }
@@ -600,7 +600,7 @@ fn predict(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     // Layer 1: the global in-flight budget, checked before the body is
     // even parsed — shedding must stay cheap when the server is drowning.
     let Some(_slot) = InflightSlot::acquire(ctx) else {
-        ctx.metrics.record_shed("inflight");
+        ctx.metrics.sheds.inc(&"inflight");
         fairlens_trace::complete("shed:inflight", Duration::ZERO);
         return Err(ServeError::new(
             ErrorKind::Overloaded,
@@ -643,7 +643,7 @@ fn predict(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
     // the executor; one small copy per request.
     let groups: Vec<u8> = data.sensitive().to_vec();
     drop(parse_span); // parse = decode + validation + model lookup
-    ctx.metrics.record_phase("parse", parse_t0.elapsed().as_secs_f64());
+    ctx.metrics.phases.observe_labelled("parse", parse_t0.elapsed().as_secs_f64());
 
     // A shadow deployment needs the validated rows a second time; clone
     // only when one is attached so the common path stays allocation-free.
@@ -668,7 +668,7 @@ fn predict(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
         },
     };
     if matches!(&result, Err(e) if e.kind == ErrorKind::Overloaded) {
-        ctx.metrics.record_shed("queue_full");
+        ctx.metrics.sheds.inc(&"queue_full");
         fairlens_trace::complete("shed:queue_full", Duration::ZERO);
     }
     ctx.registry.report(model_id, &worker, outcome);
@@ -680,7 +680,7 @@ fn predict(ctx: &Ctx, req: &Request) -> Result<Response, ServeError> {
         [("queue", out.queue_us), ("batch", out.batch_us), ("predict", out.predict_us)]
     {
         fairlens_trace::complete(phase, Duration::from_micros(us));
-        ctx.metrics.record_phase(phase, us as f64 / 1e6);
+        ctx.metrics.phases.observe_labelled(phase, us as f64 / 1e6);
     }
     // Shadow scoring is synchronous, after the incumbent's answer is in
     // hand: the request pays for both predictions, but the divergence

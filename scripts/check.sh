@@ -9,8 +9,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
@@ -26,6 +26,9 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     boot() {
         local log="$1" prefix="$2" fail="$3"
         shift 3
+        # Create LOG first: the background redirect may open it only after
+        # the first poll, and a sed on a missing file fails the script.
+        : > "$log"
         "$@" 2> "$log" &
         boot_pid=$!
         addr=""
